@@ -351,6 +351,8 @@ def measure_mux_gains(
         raise ValueError("p_ladder needs at least 3 points")
     if any(b <= a for a, b in zip(p_ladder, p_ladder[1:])):
         raise ValueError("p_ladder must be strictly increasing")
+    if not all(1 < p < math.inf for p in p_ladder):
+        raise ValueError("p_ladder values must be finite and greater than 1")
     run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
 
     rows: list[ConvergenceRow] = []

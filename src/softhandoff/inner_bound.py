@@ -126,19 +126,26 @@ def _scheme1_table(cfg: NetworkConfig, n: int, corrected: bool):
 
 
 def _scheme2_batch(B: np.ndarray, cfg: NetworkConfig, corrected: bool = False):
-    """(r_fast, conf_load, total) for a batch of cumulative vectors B (m, L)."""
+    """(r_fast, conf_load, total) for a batch of cumulative vectors B (m, L).
+
+    One broadcast cf_chain_term call gives every round term: column d pairs
+    (B_{d-1}, B_d) for d = 0..L-2 with B_{-1} = 0, so column 0 is the fast
+    cap.  The load is a strict left-to-right cumulative sum over the columns
+    (np.sum's pairwise order would change low bits), which keeps it
+    bit-identical to adding the rounds one by one.
+    """
     p, a = cfg.p, cfg.alpha
-    total_pow = B[:, -1]
-    conf = cf_chain_term(np.zeros(len(B)), B[:, 0], total_pow, p, a)
-    for d in range(1, B.shape[1] - 1):
-        conf = conf + cf_chain_term(B[:, d - 1], B[:, d], total_pow, p, a)
-    r_fast = cf_chain_term(np.zeros(len(B)), B[:, 0], total_pow, p, a)
-    b_last = B[:, -2] if B.shape[1] > 1 else np.zeros(len(B))
+    total_pow = B[:, -1:]
+    b_high = B[:, :-1]
+    b_low = np.zeros(b_high.shape)
+    b_low[:, 1:] = B[:, :-2]
+    terms = cf_chain_term(b_low, b_high, total_pow, p, a)
+    conf = terms.cumsum(axis=1)[:, -1]
     if corrected:
-        final = cf_final_term_corrected(b_last, total_pow, p, a)
+        final = cf_final_term_corrected(B[:, -2], B[:, -1], p, a)
     else:
-        final = cf_final_term(b_last, total_pow, p)
-    return r_fast, conf, conf + final
+        final = cf_final_term(B[:, -2], B[:, -1], p)
+    return terms[:, 0], conf, conf + final
 
 
 def _scheme2_grid(L: int, budget: int = 25_000) -> np.ndarray:
@@ -150,6 +157,24 @@ def _scheme2_grid(L: int, budget: int = 25_000) -> np.ndarray:
         list(itertools.combinations_with_replacement(range(n + 1), L)), dtype=float
     )
     return pts / n
+
+
+_LATTICE_ROWS = 1024
+
+
+def _scheme2_lattice(cfg: NetworkConfig, corrected: bool):
+    """The _scheme2_grid lattice for cfg with its (r_fast, conf_load, total).
+
+    Evaluated in blocks of _LATTICE_ROWS rows: the broadcast temporaries of
+    _scheme2_batch are (rows, L-1) arrays, which over a whole lattice of up
+    to 25k rows would raise the peak resident memory by several MB.
+    """
+    B = _scheme2_grid(cfg.d_max + 1)
+    vals = np.empty((3, len(B)))
+    for i in range(0, len(B), _LATTICE_ROWS):
+        vals[:, i:i + _LATTICE_ROWS] = _scheme2_batch(B[i:i + _LATTICE_ROWS], cfg, corrected)
+    r_fast, conf, tot = vals
+    return B, r_fast, conf, tot
 
 
 def _seed_b1(x: float, cfg: NetworkConfig) -> float | None:
@@ -173,7 +198,12 @@ def _coordinate_descent(
 ) -> tuple[float, np.ndarray] | None:
     """Maximise the scheme-2 sum cap over cumulative vectors, keeping the fast
     cap at least x_target and the conferencing load within pi.  Deterministic:
-    fixed line-search lattice per coordinate, first-best tie breaking."""
+    fixed line-search lattice per coordinate, first-best tie breaking.
+
+    Each line search is one _scheme2_batch call (one broadcast kernel call)
+    on n_line candidates; the candidates reuse one precomputed arange rather
+    than calling np.linspace per coordinate, with identical values.
+    """
 
     def value(Bm: np.ndarray) -> np.ndarray:
         r_fast, conf, tot = _scheme2_batch(Bm, cfg, corrected)
@@ -185,6 +215,7 @@ def _coordinate_descent(
     if not np.isfinite(best):
         return None
     L = len(B)
+    steps = np.arange(n_line, dtype=float)
     for _ in range(sweeps):
         improved = False
         for j in range(L):
@@ -192,11 +223,13 @@ def _coordinate_descent(
             hi = float(B[j + 1]) if j < L - 1 else 1.0
             if hi - lo < 1e-14:
                 continue
-            cand = np.linspace(lo, hi, n_line)
-            Bm = np.repeat(B[None, :], n_line, axis=0)
-            Bm[:, j] = cand
+            Bm = np.empty((n_line, L))
+            Bm[:] = B
+            # np.linspace(lo, hi, n_line), spelled out: same arithmetic, no call
+            Bm[:, j] = steps * ((hi - lo) / (n_line - 1)) + lo
+            Bm[-1, j] = hi
             vals = value(Bm)
-            k = int(np.argmax(vals))
+            k = int(vals.argmax())
             if vals[k] > best + 1e-13:
                 best = float(vals[k])
                 B = Bm[k]
@@ -207,7 +240,7 @@ def _coordinate_descent(
 
 
 def _scheme2_candidates(cfg: NetworkConfig, x: float, grid_best: np.ndarray | None,
-                        warm: np.ndarray | None, refine: bool):
+                        warm: np.ndarray | None):
     """Deterministic seed set for the bin at fast rate x."""
     L = cfg.d_max + 1
     seeds: list[np.ndarray] = []
@@ -222,8 +255,6 @@ def _scheme2_candidates(cfg: NetworkConfig, x: float, grid_best: np.ndarray | No
         seeds.append(grid_best)
     if warm is not None:
         seeds.append(warm)
-    if not refine:
-        seeds = seeds[:0] if grid_best is None else [grid_best]
     return seeds
 
 
@@ -299,9 +330,7 @@ def inner_boundary(
 
     s2_fast = s2_conf = s2_sum = s2_B = None
     if want2:
-        L = cfg.d_max + 1
-        s2_B = _scheme2_grid(L)
-        s2_fast, s2_conf, s2_sum = _scheme2_batch(s2_B, cfg, corrected)
+        s2_B, s2_fast, s2_conf, s2_sum = _scheme2_lattice(cfg, corrected)
 
     x_max = 0.0
     if want1:
@@ -345,7 +374,7 @@ def inner_boundary(
                     best_scheme = 2
                     best_alloc = _alloc_from_cumulative(s2_B[k])
             if refine and (x <= cfg.pi + 1e-12):
-                for seed in _scheme2_candidates(cfg, float(x), grid_best_B, warm, refine):
+                for seed in _scheme2_candidates(cfg, float(x), grid_best_B, warm):
                     out = _coordinate_descent(seed, cfg, float(x), corrected)
                     if out is None:
                         continue
@@ -484,8 +513,7 @@ def best_slow_rate_scheme2(
     """
     validate_config(cfg)
     L = cfg.d_max + 1
-    grid = _scheme2_grid(L)
-    r_fast, conf, tot = _scheme2_batch(grid, cfg, corrected)
+    grid, _, conf, tot = _scheme2_lattice(cfg, corrected)
     mask = conf <= cfg.pi + 1e-9
     best_val = -math.inf
     best_B = None
@@ -493,7 +521,7 @@ def best_slow_rate_scheme2(
         k = int(np.argmax(np.where(mask, tot, -np.inf)))
         best_val, best_B = float(tot[k]), grid[k]
     if refine:
-        for seed in _scheme2_candidates(cfg, 0.0, best_B, None, refine):
+        for seed in _scheme2_candidates(cfg, 0.0, best_B, None):
             out = _coordinate_descent(seed, cfg, 0.0, corrected)
             if out is not None and out[0] > best_val:
                 best_val, best_B = out

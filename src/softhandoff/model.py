@@ -62,6 +62,9 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
 
     Raises ValueError naming the violated field otherwise.
     """
+    for name in ("alpha", "p", "pi", "mu"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite")
     if cfg.alpha == 0:
         raise ValueError("alpha must be nonzero")
     if abs(cfg.alpha) >= 1:

@@ -13,6 +13,7 @@ like (1/22, 20/22) hold to machine precision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,8 @@ class MuxRegionSpec:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
         if self.d_max < 1:

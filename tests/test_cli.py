@@ -57,6 +57,23 @@ class TestRegionCommand:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        "kind,flag,value",
+        [
+            ("inner", "--alpha", "nan"),
+            ("inner", "--pi", "nan"),
+            ("outer", "--p", "inf"),
+            ("inner", "--mu", "nan"),
+            ("mux", "--mu", "nan"),
+        ],
+    )
+    def test_non_finite_exit_2_names_field(self, tmp_path, capsys, kind, flag, value):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["region", kind, flag, value, "--out", str(out)], capsys)
+        assert code == 2
+        assert f"{flag[2:]} must be finite" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_outputs_and_convergence(self, tmp_path, capsys):
@@ -173,3 +190,15 @@ class TestManifestRoundTrip:
         code, _, _ = run_cli(["region", "mux", "--mu", "0.1", "--dmax", "2"], capsys)
         assert code == 0
         assert (tmp_path / "region_mux.csv").exists()
+
+    @pytest.mark.parametrize("ladder", ["1,10,100", "0.5,10,100"])
+    def test_ladder_not_above_one_exit_2(self, tmp_path, capsys, ladder):
+        code, _, err = run_cli(
+            [
+                "simulate", "rx", "--k", "100", "--dmax", "2", "--p-ladder", ladder,
+                "--out", str(tmp_path / "s"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "p_ladder" in err

@@ -191,6 +191,9 @@ class TestMuxGainMeasurement:
             measure_mux_gains(cfg, build_silencing(4, 1), [1e2, 1e4])
         with pytest.raises(ValueError):
             measure_mux_gains(cfg, build_silencing(4, 1), [1e4, 1e2, 1e6])
+        for ladder in ([1.0, 10.0, 100.0], [0.5, 10.0, 100.0], [10.0, 100.0, math.nan]):
+            with pytest.raises(ValueError, match="p_ladder"):
+                measure_mux_gains(cfg, build_silencing(4, 1), ladder)
 
     def test_subnet_sum_prelog(self):
         for d in (2, 5, 10):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from softhandoff.gaussian_mi import PowerAllocation
+from softhandoff.gaussian_mi import (
+    PowerAllocation,
+    cf_chain_term,
+    cf_final_term,
+    cf_final_term_corrected,
+)
 from softhandoff.inner_bound import (
+    _scheme2_batch,
     best_slow_rate_scheme2,
     eval_scheme1,
     eval_scheme2,
@@ -204,3 +210,34 @@ class TestBestSlowRateScheme2:
             ev = eval_scheme2(alloc, cfg)
             assert ev.feasible
             assert ev.r_sum_cap == pytest.approx(val, abs=1e-9)
+
+
+def _scheme2_batch_by_round(B, cfg, corrected):
+    """Round-by-round reference: one kernel call per round, loads added in turn."""
+    p, a = cfg.p, cfg.alpha
+    total_pow = B[:, -1]
+    conf = cf_chain_term(np.zeros(len(B)), B[:, 0], total_pow, p, a)
+    for d in range(1, B.shape[1] - 1):
+        conf = conf + cf_chain_term(B[:, d - 1], B[:, d], total_pow, p, a)
+    r_fast = cf_chain_term(np.zeros(len(B)), B[:, 0], total_pow, p, a)
+    if corrected:
+        final = cf_final_term_corrected(B[:, -2], total_pow, p, a)
+    else:
+        final = cf_final_term(B[:, -2], total_pow, p)
+    return r_fast, conf, conf + final
+
+
+class TestScheme2Batch:
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("L", range(2, 18))
+    def test_bit_identical_to_round_by_round(self, L, corrected):
+        rng = np.random.default_rng(1000 + L)
+        for cfg in (CFG_FIG2, NetworkConfig(alpha=-0.7, p=50.0, pi=0.5, d_max=L - 1)):
+            for m in (1, 25, 400):
+                B = np.sort(rng.uniform(0.0, 1.0, (m, L)), axis=1)
+                B[: m // 2, -1] = 1.0  # full total power, as at the lattice top
+                B[: m // 3] = np.round(B[: m // 3] * 4) / 4  # repeated levels
+                got = _scheme2_batch(B, cfg, corrected)
+                want = _scheme2_batch_by_round(B, cfg, corrected)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)

@@ -38,6 +38,12 @@ class TestValidateConfig:
             ("d_max", NetworkConfig(alpha=0.2, p=5.0, d_max=0)),
             ("k", NetworkConfig(alpha=0.2, p=5.0, k=1)),
             ("mu", NetworkConfig(alpha=0.2, p=5.0, mu=-1.0)),
+            ("alpha", NetworkConfig(alpha=math.nan, p=5.0)),
+            ("p", NetworkConfig(alpha=0.2, p=math.inf)),
+            ("pi", NetworkConfig(alpha=0.2, p=5.0, pi=math.nan)),
+            ("pi", NetworkConfig(alpha=0.2, p=5.0, pi=math.inf)),
+            ("mu", NetworkConfig(alpha=0.2, p=5.0, mu=math.nan)),
+            ("mu", NetworkConfig(alpha=0.2, p=5.0, mu=math.inf)),
         ],
     )
     def test_rejects_and_names_field(self, field, cfg):
