@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 # Three independent routes to every rate term: the log-determinant identity,
-# cumulative-layer closed forms, and a Monte-Carlo estimate from sampled
-# channel vectors.  They must agree or something is broken.
+# cumulative-layer closed forms, and a Monte-Carlo estimate from the sampled
+# second moments of n channel vectors (one Wishart draw, not n vectors).
+# They must agree or something is broken.
 import numpy as np
 
 from softhandoff import (

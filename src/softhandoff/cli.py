@@ -20,6 +20,7 @@ from .conf_sim import (
     measure_mux_gains,
     run_rx_conferencing,
     run_tx_conferencing,
+    validate_p_ladder,
 )
 from .inner_bound import inner_boundary
 from .model import ASYMPTOTIC_K, NetworkConfig, Region
@@ -165,6 +166,7 @@ def _run_simulate(params: dict) -> list[str]:
     k = int(params["k"])
     d_max = int(params["dmax"])
     ladder = [float(v) for v in params["p_ladder"]]
+    validate_p_ladder(ladder)
     cfg = NetworkConfig(
         alpha=params["alpha"],
         p=ladder[-1],
@@ -175,7 +177,7 @@ def _run_simulate(params: dict) -> list[str]:
     pattern = build_silencing(k, d_max)
     run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
     report = run(cfg, pattern)
-    est, rows = measure_mux_gains(cfg, pattern, ladder, mode=mode)
+    est, rows = measure_mux_gains(cfg, pattern, ladder, mode=mode, top_report=report)
 
     prefix = params.get("out") or os.path.join(_outdir(), f"simulate_{mode}")
 

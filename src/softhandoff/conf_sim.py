@@ -44,6 +44,7 @@ __all__ = [
     "run_rx_conferencing",
     "run_tx_conferencing",
     "measure_mux_gains",
+    "validate_p_ladder",
     "conferencing_load",
     "phase_rotated_load",
     "event_log_rows",
@@ -334,44 +335,46 @@ class ConvergenceRow:
     max_link_prelog: float
 
 
-def measure_mux_gains(
-    cfg_base: NetworkConfig,
-    pattern: SilencingPattern,
-    p_ladder: list[float],
-    mode: str = "rx",
-) -> tuple[MuxPair, list[ConvergenceRow]]:
-    """Estimate the per-user multiplexing gains over an increasing power ladder.
-
-    Row 0 holds the plain ratio rate / (0.5*log2(1+P)); subsequent rows hold
-    the secant slope between consecutive ladder powers, which strips the
-    power-independent offsets of the cross-link rates and converges orders of
-    magnitude faster.  The estimate is the final row's value.
-    """
+def validate_p_ladder(p_ladder: list[float]) -> None:
+    """Raise ValueError naming p_ladder unless it has >= 3 increasing finite powers > 1."""
     if len(p_ladder) < 3:
         raise ValueError("p_ladder needs at least 3 points")
     if any(b <= a for a, b in zip(p_ladder, p_ladder[1:])):
         raise ValueError("p_ladder must be strictly increasing")
     if not all(1 < p < math.inf for p in p_ladder):
         raise ValueError("p_ladder values must be finite and greater than 1")
+
+
+def measure_mux_gains(
+    cfg_base: NetworkConfig,
+    pattern: SilencingPattern,
+    p_ladder: list[float],
+    mode: str = "rx",
+    top_report: RateReport | None = None,
+) -> tuple[MuxPair, list[ConvergenceRow]]:
+    """Estimate the per-user multiplexing gains over an increasing power ladder.
+
+    Row 0 holds the plain ratio rate / (0.5*log2(1+P)), the secant slope from
+    the origin; later rows hold the secant slope between consecutive ladder
+    powers, which strips the power-independent offsets of the cross-link rates
+    and converges orders of magnitude faster.  The estimate is the final row's
+    value.  A caller that has already simulated cfg_base at p_ladder[-1] passes
+    that report as top_report, and the top power is not simulated again.
+    """
+    validate_p_ladder(p_ladder)
     run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
 
     rows: list[ConvergenceRow] = []
-    prev_rates: tuple[float, float] | None = None
-    prev_norm = 0.0
-    for p in p_ladder:
-        cfg = replace(cfg_base, p=float(p))
-        rep = run(cfg, pattern)
+    prev_fast = prev_slow = prev_norm = 0.0
+    for i, p in enumerate(p_ladder):
+        reuse = top_report is not None and i == len(p_ladder) - 1
+        rep = top_report if reuse else run(replace(cfg_base, p=float(p)), pattern)
         norm = 0.5 * math.log2(1 + p)
         max_pl, avg_pl = conferencing_load(rep, p)
-        if prev_rates is None:
-            s_fast = rep.avg_fast / norm
-            s_slow = rep.avg_slow / norm
-        else:
-            s_fast = (rep.avg_fast - prev_rates[0]) / (norm - prev_norm)
-            s_slow = (rep.avg_slow - prev_rates[1]) / (norm - prev_norm)
+        s_fast = (rep.avg_fast - prev_fast) / (norm - prev_norm)
+        s_slow = (rep.avg_slow - prev_slow) / (norm - prev_norm)
         rows.append(ConvergenceRow(float(p), s_fast, s_slow, avg_pl, max_pl))
-        prev_rates = (rep.avg_fast, rep.avg_slow)
-        prev_norm = norm
+        prev_fast, prev_slow, prev_norm = rep.avg_fast, rep.avg_slow, norm
 
     last = rows[-1]
     est = MuxPair(min(max(last.s_fast_est, 0.0), 1.0), min(max(last.s_slow_est, 0.0), 1.0))

@@ -79,17 +79,10 @@ class PowerAllocation:
 
 @dataclass(frozen=True, eq=False)
 class JointGaussianSpec:
-    """Covariance of [own layers, neighbour layers, Z, Y] with labels."""
+    """Covariance of [own layers, neighbour layers, Z, Y]."""
 
     cov: np.ndarray
-    labels: tuple[str, ...]
     num_layers: int
-    p: float
-    alpha: float
-
-    def idx_own(self, layer: int) -> int:
-        """Index of own layer (1-based)."""
-        return layer - 1
 
     def idx_nb(self, layer: int) -> int:
         """Index of the neighbour's layer (1-based)."""
@@ -125,10 +118,7 @@ def layered_covariance(alloc: PowerAllocation, cfg: NetworkConfig) -> JointGauss
         cov[L + i, y] = cov[y, L + i] = a * b * p
     cov[z, y] = cov[y, z] = 1.0
     cov[y, y] = total * (1 + a * a) + 1.0
-    labels = tuple(
-        [f"w{i+1}" for i in range(L)] + [f"w{i+1}p" for i in range(L)] + ["z", "y"]
-    )
-    return JointGaussianSpec(cov=cov, labels=labels, num_layers=L, p=p, alpha=a)
+    return JointGaussianSpec(cov=cov, num_layers=L)
 
 
 def _reduce(spec: JointGaussianSpec, group) -> list[int]:
@@ -179,6 +169,20 @@ def gaussian_mi(spec: JointGaussianSpec, group_a, group_b, cond=()) -> float:
     return max(0.0, val)
 
 
+def _scatter_moments(chol: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """X^T X / n for n = samples rows X = Z chol^T, Z standard normal, in O(d^2).
+
+    Z^T Z ~ Wishart(I, n) whatever the rank of chol, and is drawn as T T^T
+    (Bartlett decomposition, Odell & Feiveson, JASA 61, 1966): T is lower
+    triangular, T[i,i]^2 ~ chi2(n - i) and T[i,j] ~ N(0,1) below the diagonal.
+    """
+    d = chol.shape[0]
+    t = np.diag(np.sqrt(rng.chisquare(samples - np.arange(d))))
+    t[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    s = chol @ t
+    return s @ s.T / samples
+
+
 def mc_mutual_information(
     spec: JointGaussianSpec,
     group_a,
@@ -186,15 +190,14 @@ def mc_mutual_information(
     cond=(),
     samples: int = 1_000_000,
     seed: int = 0,
-    batch: int = 1 << 17,
 ) -> float:
     """Monte-Carlo estimate of I(A; B | C) in bits, the oracle for gaussian_mi.
 
-    Draws Gaussian vectors from the spec covariance, accumulates empirical
-    second moments batch by batch, and evaluates h(A|C) - h(A|B,C) through
-    Schur-complement conditional covariances of the *empirical* moments.  This
-    shares no algebra with the four-determinant identity.  Deterministic for a
-    fixed seed; batches are reduced by order-independent summation.
+    Draws the empirical second moments of `samples` Gaussian vectors with the
+    spec covariance as one Wishart matrix, without the vectors, and evaluates
+    h(A|C) - h(A|B,C) through Schur-complement conditional covariances of the
+    *empirical* moments.  This shares no algebra with the four-determinant
+    identity.  Deterministic for a fixed seed.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
@@ -218,16 +221,7 @@ def mc_mutual_information(
         w = np.clip(w, 0.0, None)
         chol = v * np.sqrt(w)
 
-    rng = np.random.default_rng(seed)
-    d = len(idx)
-    moments = np.zeros((d, d))
-    drawn = 0
-    while drawn < samples:
-        m = min(batch, samples - drawn)
-        x = rng.standard_normal((m, d)) @ chol.T
-        moments += x.T @ x
-        drawn += m
-    emp = moments / samples
+    emp = _scatter_moments(chol, samples, np.random.default_rng(seed))
 
     ia = [pos[g] for g in a]
     ib = [pos[g] for g in b]

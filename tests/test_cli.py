@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from softhandoff import cli, conf_sim
 from softhandoff.cli import main
 
 
@@ -198,6 +199,42 @@ class TestManifestRoundTrip:
                 "simulate", "rx", "--k", "100", "--dmax", "2", "--p-ladder", ladder,
                 "--out", str(tmp_path / "s"),
             ],
+            capsys,
+        )
+        assert code == 2
+        assert "p_ladder" in err
+
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    def test_simulate_runs_each_ladder_power_once(self, tmp_path, capsys, monkeypatch, mode):
+        powers = []
+        name = f"run_{mode}_conferencing"
+        sim = getattr(conf_sim, name)
+
+        def counted(cfg, pattern):
+            powers.append(cfg.p)
+            return sim(cfg, pattern)
+
+        # the CLI and measure_mux_gains each look the simulator up in their own module
+        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(conf_sim, name, counted)
+        code, _, _ = run_cli(
+            ["simulate", mode, "--k", "22", "--dmax", "2", "--p-ladder", "1e2,1e4,1e6",
+             "--out", str(tmp_path / "s")],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(powers) == [1e2, 1e4, 1e6]
+
+    @pytest.mark.parametrize("ladder", ["10,100,inf", "10,nan,100", "1e4,1e2,1e6", "1e2,1e4"])
+    def test_bad_ladder_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch, ladder):
+        def refuse(*args):
+            raise AssertionError("simulated before validating the ladder")
+
+        for name in ("build_silencing", "run_rx_conferencing", "run_tx_conferencing"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, _, err = run_cli(
+            ["simulate", "rx", "--k", "44000", "--dmax", "10", "--p-ladder", ladder,
+             "--out", str(tmp_path / "s")],
             capsys,
         )
         assert code == 2

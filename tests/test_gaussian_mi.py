@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,8 +17,12 @@ from softhandoff.gaussian_mi import (
     mc_mutual_information,
     scheme1_terms,
     scheme2_terms,
+    scheme2_term_groups,
 )
 from softhandoff.model import NetworkConfig
+
+# the module, not the function of the same name the package re-exports
+gmi = importlib.import_module("softhandoff.gaussian_mi")
 
 # frozen oracle values (independent covariance assembly + Monte Carlo, see
 # the acceptance suite for the full-strength cross-check)
@@ -163,6 +168,86 @@ class TestMonteCarloOracle:
         spec = layered_covariance(PowerAllocation((1.0,)), CFG)
         with pytest.raises(ValueError):
             mc_mutual_information(spec, [0], [spec.idx_y], samples=100)
+
+
+def _scatter_moments_by_rows(chol, samples, rng, batch=1 << 17):
+    """Reference sampler: the second moments of `samples` rows drawn in batches,
+    O(samples * d) where the Bartlett draw is O(d^2)."""
+    d = chol.shape[0]
+    moments = np.zeros((d, d))
+    drawn = 0
+    while drawn < samples:
+        m = min(batch, samples - drawn)
+        x = rng.standard_normal((m, d)) @ chol.T
+        moments += x.T @ x
+        drawn += m
+    return moments / samples
+
+
+# the chain_1 term of a 3-layer scheme-2 allocation: a full-rank 4x4 covariance
+SPEC_D2 = layered_covariance(
+    PowerAllocation((0.25, 0.35, 0.4)), NetworkConfig(alpha=0.2, p=5.0, d_max=2)
+)
+CHAIN_1 = scheme2_term_groups(SPEC_D2, 2)["chain_1"]
+SIGMA_4 = SPEC_D2.cov[np.ix_(*[sum(CHAIN_1, [])] * 2)]
+N_SEEDS = 2000
+N_SAMPLES = 10_000
+
+
+def _assert_wishart_moments(sigma, chol, samples=N_SAMPLES):
+    """Each entry of the sampled moment matrix has the mean and variance of
+    an entry of Wishart(sigma, n) / n, within 5 standard errors."""
+    draws = np.array(
+        [gmi._scatter_moments(chol, samples, np.random.default_rng(s)) for s in range(N_SEEDS)]
+    )
+    var = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / samples
+    mean_err = np.abs(draws.mean(axis=0) - sigma) / np.sqrt(var / N_SEEDS)
+    centred = draws - draws.mean(axis=0)
+    var_se = np.sqrt(((centred**4).mean(axis=0) - var**2) / N_SEEDS)
+    var_err = np.abs(draws.var(axis=0, ddof=1) - var) / var_se
+    assert mean_err.max() < 5, mean_err
+    assert var_err.max() < 5, var_err
+    return draws
+
+
+class TestScatterSampler:
+    # n = 8 is far below the oracle's floor, but the moments are exact for any
+    # n >= d, and an O(d/n) slip in the Bartlett factor that the noise at
+    # n = 1e4 hides shows there
+    @pytest.mark.parametrize("samples", [N_SAMPLES, 8])
+    def test_full_rank_entries_match_wishart(self, samples):
+        assert np.linalg.eigvalsh(SIGMA_4).min() > 0.1
+        _assert_wishart_moments(SIGMA_4, np.linalg.cholesky(SIGMA_4), samples)
+
+    def test_rank_deficient_eigh_factor(self):
+        # third variable = sum of the first two: mc_mutual_information's
+        # Cholesky fails and it samples through v * sqrt(w) from eigh
+        sigma = np.array([[1.0, 0.3, 1.3], [0.3, 2.0, 2.3], [1.3, 2.3, 3.6]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+        w, v = np.linalg.eigh(sigma)
+        draws = _assert_wishart_moments(sigma, v * np.sqrt(np.clip(w, 0.0, None)))
+        # the sampled variance along Sigma's null direction stays at rounding level
+        null = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
+        assert (draws @ null @ null).max() < 1e-12 * sigma.max()
+
+    def test_mi_estimates_distributed_as_row_sampling(self, monkeypatch):
+        det = gaussian_mi(SPEC_D2, *CHAIN_1)
+
+        def estimates():
+            return np.array([
+                mc_mutual_information(SPEC_D2, *CHAIN_1, samples=N_SAMPLES, seed=s)
+                for s in range(N_SEEDS)
+            ])
+
+        bartlett = estimates()
+        monkeypatch.setattr(gmi, "_scatter_moments", _scatter_moments_by_rows)
+        rows = estimates()
+        se_mean = math.sqrt((bartlett.var() + rows.var()) / N_SEEDS)
+        assert abs(bartlett.mean() - rows.mean()) < 5 * se_mean
+        se_std = math.sqrt((bartlett.var() + rows.var()) / (2 * (N_SEEDS - 1)))
+        assert abs(bartlett.std(ddof=1) - rows.std(ddof=1)) < 5 * se_std
+        assert abs(bartlett.mean() - det) < 0.01
 
 
 class TestScheme1Terms:
