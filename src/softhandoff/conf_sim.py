@@ -259,6 +259,13 @@ def run_tx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateRe
     return RateReport(tuple(users), avg_fast, avg_slow, tuple(msgs))
 
 
+def _simulator(mode: str):
+    """The simulator of a conferencing mode: "rx" or "tx", anything else is an error."""
+    if mode not in ("rx", "tx"):
+        raise ValueError(f"mode must be 'rx' or 'tx', got {mode!r}")
+    return run_rx_conferencing if mode == "rx" else run_tx_conferencing
+
+
 def conferencing_load(report: RateReport, p: float) -> tuple[float, float]:
     """(per-link-direction max prelog, network-average prelog) of a report.
 
@@ -290,7 +297,7 @@ def phase_rotated_load(cfg: NetworkConfig, k: int, d_max: int, mode: str = "rx")
     starts at cell 1), an edge artifact that dilutes as k grows.
     """
     period = 2 * d_max + 2
-    run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
+    run = _simulator(mode)
     per_dir: dict[tuple[int, int], float] = {}
     total = 0.0
     for off in range(period):
@@ -362,7 +369,7 @@ def measure_mux_gains(
     that report as top_report, and the top power is not simulated again.
     """
     validate_p_ladder(p_ladder)
-    run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
+    run = _simulator(mode)
 
     rows: list[ConvergenceRow] = []
     prev_fast = prev_slow = prev_norm = 0.0

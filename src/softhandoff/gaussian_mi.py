@@ -197,7 +197,9 @@ def mc_mutual_information(
     spec covariance as one Wishart matrix, without the vectors, and evaluates
     h(A|C) - h(A|B,C) through Schur-complement conditional covariances of the
     *empirical* moments.  This shares no algebra with the four-determinant
-    identity.  Deterministic for a fixed seed.
+    identity.  Deterministic for a fixed seed.  Raises LinAlgError when the
+    covariance of A, B and C is singular (e.g. a variable of A is a linear
+    function of B and C, so the true value is infinite).
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
@@ -216,10 +218,13 @@ def mc_mutual_information(
     try:
         chol = np.linalg.cholesky(sub)
     except np.linalg.LinAlgError:
-        # PSD but rank deficient: sample through the eigenbasis instead.
-        w, v = np.linalg.eigh(sub)
-        w = np.clip(w, 0.0, None)
-        chol = v * np.sqrt(w)
+        chol = None
+    # A linear dependency among A, B and C makes Cholesky fail or, in another
+    # variable order, leaves a pivot at rounding level; the empirical
+    # conditional covariances are then singular too and the estimate would be
+    # rounding noise.
+    if chol is None or np.min(np.diag(chol) ** 2 / np.diag(sub)) <= _VAR_EPS:
+        raise np.linalg.LinAlgError("singular covariance of A, B and C: the term cannot be estimated")
 
     emp = _scatter_moments(chol, samples, np.random.default_rng(seed))
 

@@ -8,8 +8,12 @@ total of all conferenced parts must fit in pi.
 
 The region sweep works in cumulative-power space with vectorised closed
 forms; the per-allocation evaluators go through the log-determinant path so
-the two routes cross-check each other.  Boundaries carry witness allocations
-so that every reported point can be re-derived.
+the two routes cross-check each other.  Scheme 2 is searched on a lattice and
+then refined by coordinate descent from several seeds per fast-rate bin; the
+descents of all bins run in lockstep, one vectorised evaluation per (sweep,
+coordinate) step for all of them, and each follows exactly the path it would
+follow alone.  Boundaries carry witness allocations so that every reported point can
+be re-derived.
 """
 from __future__ import annotations
 
@@ -159,21 +163,27 @@ def _scheme2_grid(L: int, budget: int = 25_000) -> np.ndarray:
     return pts / n
 
 
-_LATTICE_ROWS = 1024
+_BLOCK_ROWS = 2048
+
+
+def _scheme2_blocks(B: np.ndarray, cfg: NetworkConfig, corrected: bool) -> np.ndarray:
+    """_scheme2_batch over the rows of B in blocks of _BLOCK_ROWS, as one (3, m) array.
+
+    The broadcast temporaries of _scheme2_batch are (rows, L-1) arrays; over
+    a whole lattice of up to 25k rows, or the line searches of a few hundred
+    lockstep descents, they would raise the peak resident memory by several
+    MB.  Rows are independent, so the blocking changes no value.
+    """
+    vals = np.empty((3, len(B)))
+    for i in range(0, len(B), _BLOCK_ROWS):
+        vals[:, i:i + _BLOCK_ROWS] = _scheme2_batch(B[i:i + _BLOCK_ROWS], cfg, corrected)
+    return vals
 
 
 def _scheme2_lattice(cfg: NetworkConfig, corrected: bool):
-    """The _scheme2_grid lattice for cfg with its (r_fast, conf_load, total).
-
-    Evaluated in blocks of _LATTICE_ROWS rows: the broadcast temporaries of
-    _scheme2_batch are (rows, L-1) arrays, which over a whole lattice of up
-    to 25k rows would raise the peak resident memory by several MB.
-    """
+    """The _scheme2_grid lattice for cfg with its (r_fast, conf_load, total)."""
     B = _scheme2_grid(cfg.d_max + 1)
-    vals = np.empty((3, len(B)))
-    for i in range(0, len(B), _LATTICE_ROWS):
-        vals[:, i:i + _LATTICE_ROWS] = _scheme2_batch(B[i:i + _LATTICE_ROWS], cfg, corrected)
-    r_fast, conf, tot = vals
+    r_fast, conf, tot = _scheme2_blocks(B, cfg, corrected)
     return B, r_fast, conf, tot
 
 
@@ -191,57 +201,68 @@ def _seed_b1(x: float, cfg: NetworkConfig) -> float | None:
 def _coordinate_descent(
     B0: np.ndarray,
     cfg: NetworkConfig,
-    x_target: float,
+    x_target: np.ndarray | float,
     corrected: bool = False,
     n_line: int = 25,
     sweeps: int = 40,
-) -> tuple[float, np.ndarray] | None:
-    """Maximise the scheme-2 sum cap over cumulative vectors, keeping the fast
-    cap at least x_target and the conferencing load within pi.  Deterministic:
-    fixed line-search lattice per coordinate, first-best tie breaking.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximise the scheme-2 sum cap from each seed row of B0 (m, L), keeping
+    the fast cap at least that row's x_target and the conferencing load within
+    pi.  Deterministic: fixed line-search lattice per coordinate, first-best
+    tie breaking.  Returns (best, B): each descent's sum cap (-inf where its
+    seed is infeasible) and the cumulative vector reaching it.
 
-    Each line search is one _scheme2_batch call (one broadcast kernel call)
-    on n_line candidates; the candidates reuse one precomputed arange rather
-    than calling np.linspace per coordinate, with identical values.
+    The descents run in lockstep, and a single descent is a batch of one.
+    Each (sweep, coordinate) step evaluates the n_line candidates of every
+    live descent whose coordinate range is not empty in one _scheme2_blocks
+    call; each descent keeps its own best, argmax and improvement test, and
+    leaves the batch after a sweep without improvement, so every row follows
+    exactly the path it would follow alone.  The candidates are
+    np.linspace(lo, hi, n_line) spelled out from one precomputed arange, with
+    identical values.
     """
+    B = np.array(B0, dtype=float)
+    m, L = B.shape
+    x_row = np.broadcast_to(np.asarray(x_target, dtype=float), (m,))
 
-    def value(Bm: np.ndarray) -> np.ndarray:
-        r_fast, conf, tot = _scheme2_batch(Bm, cfg, corrected)
-        ok = (r_fast >= x_target - 1e-9) & (conf <= cfg.pi + 1e-9)
+    def value(Bm: np.ndarray, x: np.ndarray) -> np.ndarray:
+        r_fast, conf, tot = _scheme2_blocks(Bm, cfg, corrected)
+        ok = (r_fast >= x - 1e-9) & (conf <= cfg.pi + 1e-9)
         return np.where(ok, tot, -np.inf)
 
-    B = B0.copy()
-    best = value(B[None, :])[0]
-    if not np.isfinite(best):
-        return None
-    L = len(B)
+    best = value(B, x_row)
+    live = np.flatnonzero(np.isfinite(best))
     steps = np.arange(n_line, dtype=float)
     for _ in range(sweeps):
-        improved = False
-        for j in range(L):
-            lo = float(B[j - 1]) if j > 0 else 0.0
-            hi = float(B[j + 1]) if j < L - 1 else 1.0
-            if hi - lo < 1e-14:
-                continue
-            Bm = np.empty((n_line, L))
-            Bm[:] = B
-            # np.linspace(lo, hi, n_line), spelled out: same arithmetic, no call
-            Bm[:, j] = steps * ((hi - lo) / (n_line - 1)) + lo
-            Bm[-1, j] = hi
-            vals = value(Bm)
-            k = int(vals.argmax())
-            if vals[k] > best + 1e-13:
-                best = float(vals[k])
-                B = Bm[k]
-                improved = True
-        if not improved:
+        if not live.size:
             break
+        improved = np.zeros(live.size, dtype=bool)
+        for j in range(L):
+            lo = B[live, j - 1] if j > 0 else np.zeros(live.size)
+            hi = B[live, j + 1] if j < L - 1 else np.ones(live.size)
+            act = ~(hi - lo < 1e-14)
+            if not act.any():
+                continue
+            rows, lo, hi = live[act], lo[act], hi[act]
+            n = rows.size
+            Bm = np.empty((n, n_line, L))
+            Bm[:] = B[rows, None, :]
+            Bm[:, :, j] = steps * ((hi - lo) / (n_line - 1))[:, None] + lo[:, None]
+            Bm[:, -1, j] = hi
+            x = np.repeat(x_row[rows], n_line)
+            vals = value(Bm.reshape(n * n_line, L), x).reshape(n, n_line)
+            k = vals.argmax(axis=1)
+            top = vals[np.arange(n), k]
+            up = top > best[rows] + 1e-13
+            best[rows[up]] = top[up]
+            B[rows[up]] = Bm[up, k[up]]
+            improved[act] |= up
+        live = live[improved]
     return best, B
 
 
-def _scheme2_candidates(cfg: NetworkConfig, x: float, grid_best: np.ndarray | None,
-                        warm: np.ndarray | None):
-    """Deterministic seed set for the bin at fast rate x."""
+def _scheme2_candidates(cfg: NetworkConfig, x: float, grid_best: np.ndarray | None):
+    """Deterministic top, linspace and lattice seeds for the bin at fast rate x."""
     L = cfg.d_max + 1
     seeds: list[np.ndarray] = []
     b1 = _seed_b1(x, cfg)
@@ -253,8 +274,6 @@ def _scheme2_candidates(cfg: NetworkConfig, x: float, grid_best: np.ndarray | No
             seeds.append(np.concatenate([[b1], np.linspace(b1, 1.0, L)[1:]]))
     if grid_best is not None:
         seeds.append(grid_best)
-    if warm is not None:
-        seeds.append(warm)
     return seeds
 
 
@@ -300,30 +319,23 @@ def _upper_concave_envelope(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     return hull
 
 
-def inner_boundary(
+def _best_per_bin(
     cfg: NetworkConfig,
-    scheme: int | str = "both",
-    grid_resolution: int = 64,
-    corrected: bool = False,
-    refine: bool = True,
-) -> list[BoundaryPoint]:
-    """Sweep the achievable boundary on a fast-rate grid.
+    want1: bool,
+    want2: bool,
+    grid_resolution: int,
+    corrected: bool,
+    refine: bool,
+) -> list[tuple[float, float, int, PowerAllocation]]:
+    """(x, y, scheme, alloc) of the best allocation found at each fast rate x.
 
-    For each target fast rate the best sum cap over all feasible allocations
-    is found (grid sweep for scheme 1, grid plus coordinate descent for
-    scheme 2), then the pointwise-best of the requested schemes is closed
-    under time sharing (upper concave envelope).  The rate-transfer closure is
-    implicit: transferring fast rate to slow moves along the same sum line.
+    Scheme 1 and the scheme-2 lattice are read off their tables.  Scheme-2
+    refinement then runs in two phases.  Phase 1 descends the top, linspace
+    and lattice seeds of every bin with x <= pi in one lockstep call.  Phase 2
+    walks the bins in order and compares those results in seed order; only
+    the warm seed (the last descent that won a bin) descends here, one bin at
+    a time, since it depends on the earlier bins.
     """
-    validate_config(cfg)
-    scheme = str(scheme)
-    if scheme not in ("1", "2", "both", "best-of-both"):
-        raise ValueError("scheme must be 1, 2, or both")
-    if grid_resolution < 10:
-        raise ValueError("grid_resolution must be at least 10")
-    want1 = scheme in ("1", "both", "best-of-both")
-    want2 = scheme in ("2", "both", "best-of-both")
-
     s1_fast = s1_sum = s1_B = None
     if want1:
         s1_fast, s1_sum, s1_B = _scheme1_table(cfg, 64, corrected)
@@ -348,80 +360,110 @@ def inner_boundary(
         x_max = 0.0
     xs = np.unique(np.linspace(0.0, x_max, grid_resolution + 1))
 
-    raw: list[tuple[float, float, int, PowerAllocation]] = []
-    warm: np.ndarray | None = None
+    # per bin: (best value, its scheme, its allocation), and the lattice best
+    bests: list[tuple[float, int, PowerAllocation | None]] = []
+    grid_best: list[np.ndarray | None] = []
     for x in xs:
-        best_val = -np.inf
-        best_scheme = 0
-        best_alloc: PowerAllocation | None = None
+        best = (-np.inf, 0, None)
+        grid_best_B = None
         if want1:
             mask = s1_fast >= x - 1e-12
             if np.any(mask):
                 k = int(np.argmax(np.where(mask, s1_sum, -np.inf)))
-                if s1_sum[k] > best_val:
-                    best_val = float(s1_sum[k])
-                    best_scheme = 1
+                if s1_sum[k] > best[0]:
                     b1, b2, b3 = s1_B[k]
-                    best_alloc = PowerAllocation((b1, b2 - b1, b3 - b2))
+                    best = (float(s1_sum[k]), 1, PowerAllocation((b1, b2 - b1, b3 - b2)))
         if want2:
-            grid_best_B = None
             mask = (s2_fast >= x - 1e-12) & (s2_conf <= cfg.pi + 1e-9)
             if np.any(mask):
                 k = int(np.argmax(np.where(mask, s2_sum, -np.inf)))
                 grid_best_B = s2_B[k]
-                if s2_sum[k] > best_val:
-                    best_val = float(s2_sum[k])
-                    best_scheme = 2
-                    best_alloc = _alloc_from_cumulative(s2_B[k])
-            if refine and (x <= cfg.pi + 1e-12):
-                for seed in _scheme2_candidates(cfg, float(x), grid_best_B, warm):
-                    out = _coordinate_descent(seed, cfg, float(x), corrected)
-                    if out is None:
-                        continue
-                    val, B = out
-                    if val > best_val + 1e-13:
-                        best_val = val
-                        best_scheme = 2
-                        best_alloc = _alloc_from_cumulative(B)
-                        warm = B
-        if best_alloc is not None and math.isfinite(best_val):
-            raw.append((float(x), best_val - float(x), best_scheme, best_alloc))
+                if s2_sum[k] > best[0]:
+                    best = (float(s2_sum[k]), 2, _alloc_from_cumulative(s2_B[k]))
+        bests.append(best)
+        grid_best.append(grid_best_B)
 
+    if want2 and refine:
+        L = cfg.d_max + 1
+        refined = [i for i, x in enumerate(xs) if x <= cfg.pi + 1e-12]
+        seeds = [_scheme2_candidates(cfg, float(xs[i]), grid_best[i]) for i in refined]
+        owner = [i for i, s in zip(refined, seeds) for _ in s]
+        vals, Bs = _coordinate_descent(
+            np.reshape([b for s in seeds for b in s], (-1, L)), cfg, xs[owner], corrected
+        )
+        warm: np.ndarray | None = None
+        start = 0
+        for i, s in zip(refined, seeds):
+            results = list(zip(vals[start:start + len(s)], Bs[start:start + len(s)]))
+            start += len(s)
+            if warm is not None:
+                val, B = _coordinate_descent(warm[None, :], cfg, xs[i], corrected)
+                results.append((val[0], B[0]))
+            for val, B in results:
+                if val > bests[i][0] + 1e-13:
+                    bests[i] = (float(val), 2, _alloc_from_cumulative(B))
+                    warm = B
+
+    return [
+        (float(x), best_val - float(x), scheme, alloc)
+        for x, (best_val, scheme, alloc) in zip(xs, bests)
+        if alloc is not None and math.isfinite(best_val)
+    ]
+
+
+def inner_boundary(
+    cfg: NetworkConfig,
+    scheme: int | str = "both",
+    grid_resolution: int = 64,
+    corrected: bool = False,
+    refine: bool = True,
+) -> list[BoundaryPoint]:
+    """Sweep the achievable boundary on a fast-rate grid.
+
+    For each target fast rate the best sum cap over all feasible allocations
+    is found (grid sweep for scheme 1, grid plus lockstep coordinate descent
+    for scheme 2, see _best_per_bin), then the pointwise-best of the requested
+    schemes is closed under time sharing (upper concave envelope).  The
+    rate-transfer closure is implicit: transferring fast rate to slow moves
+    along the same sum line.
+    """
+    validate_config(cfg)
+    scheme = str(scheme)
+    if scheme not in ("1", "2", "both", "best-of-both"):
+        raise ValueError("scheme must be 1, 2, or both")
+    if grid_resolution < 10:
+        raise ValueError("grid_resolution must be at least 10")
+    want1 = scheme in ("1", "both", "best-of-both")
+    want2 = scheme in ("2", "both", "best-of-both")
+    raw = _best_per_bin(cfg, want1, want2, grid_resolution, corrected, refine)
     if not raw:
         return []
+
+    def witness(weight: float, i: int) -> BoundaryWitness:
+        x, y, s, alloc = raw[i]
+        return BoundaryWitness(weight, s, alloc, x, y)
 
     pxs = np.array([r[0] for r in raw])
     pys = np.array([r[1] for r in raw])
     hull = _upper_concave_envelope(pxs, pys)
+    hx = pxs[hull]
 
+    # the first and the last raw point are always on the hull, so every x
+    # lies in a bracket [hx[j], hx[j+1]] or on the last hull point
     points: list[BoundaryPoint] = []
     for x in pxs:
-        # locate hull bracket
-        hx = pxs[hull]
         j = int(np.searchsorted(hx, x, side="right")) - 1
-        j = min(max(j, 0), len(hull) - 1)
-        if j == len(hull) - 1 or abs(hx[j] - x) <= 1e-15:
-            idx = hull[j]
-            comp = (
-                BoundaryWitness(1.0, raw[idx][2], raw[idx][3], raw[idx][0], raw[idx][1]),
-            )
-            y = pys[hull[j]] if abs(hx[j] - x) <= 1e-15 else None
-            if y is None:
-                continue
+        if abs(hx[j] - x) <= 1e-15:
+            y = pys[hull[j]]
+            comp = (witness(1.0, hull[j]),)
         else:
             i0, i1 = hull[j], hull[j + 1]
             t = (x - pxs[i0]) / (pxs[i1] - pxs[i0])
             y = (1 - t) * pys[i0] + t * pys[i1]
             if t <= 1e-15 or t >= 1 - 1e-15:
-                idx = i0 if t <= 1e-15 else i1
-                comp = (
-                    BoundaryWitness(1.0, raw[idx][2], raw[idx][3], raw[idx][0], raw[idx][1]),
-                )
+                comp = (witness(1.0, i0 if t <= 1e-15 else i1),)
             else:
-                comp = (
-                    BoundaryWitness(float(1 - t), raw[i0][2], raw[i0][3], raw[i0][0], raw[i0][1]),
-                    BoundaryWitness(float(t), raw[i1][2], raw[i1][3], raw[i1][0], raw[i1][1]),
-                )
+                comp = (witness(float(1 - t), i0), witness(float(t), i1))
         points.append(BoundaryPoint(float(x), float(y), comp))
     return points
 
@@ -521,10 +563,11 @@ def best_slow_rate_scheme2(
         k = int(np.argmax(np.where(mask, tot, -np.inf)))
         best_val, best_B = float(tot[k]), grid[k]
     if refine:
-        for seed in _scheme2_candidates(cfg, 0.0, best_B, None):
-            out = _coordinate_descent(seed, cfg, 0.0, corrected)
-            if out is not None and out[0] > best_val:
-                best_val, best_B = out
+        seeds = _scheme2_candidates(cfg, 0.0, best_B)
+        vals, Bs = _coordinate_descent(np.reshape(seeds, (-1, L)), cfg, 0.0, corrected)
+        for val, B in zip(vals, Bs):
+            if val > best_val:
+                best_val, best_B = float(val), B
     if best_B is None:
         return 0.0, PowerAllocation(tuple([0.0] * L))
     return best_val, _alloc_from_cumulative(best_B)

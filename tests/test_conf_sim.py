@@ -195,6 +195,12 @@ class TestMuxGainMeasurement:
             with pytest.raises(ValueError, match="p_ladder"):
                 measure_mux_gains(cfg, build_silencing(4, 1), ladder)
 
+    def test_rejects_unknown_mode(self):
+        cfg = NetworkConfig(alpha=0.5, p=1e6, d_max=1, k=4)
+        for mode in ("bogus", "RX", ""):
+            with pytest.raises(ValueError, match="mode"):
+                measure_mux_gains(cfg, build_silencing(4, 1), [1e2, 1e4, 1e6], mode=mode)
+
     def test_subnet_sum_prelog(self):
         for d in (2, 5, 10):
             k = 2 * d + 2
@@ -238,3 +244,10 @@ class TestConferencingLoad:
         # bounded by twice the schedule prelog, far below the unrotated 1.0
         assert per_link_max < 0.95
         assert net_avg < 2 / 6 + 0.02
+
+    def test_phase_rotation_rejects_unknown_mode(self):
+        cfg = NetworkConfig(alpha=0.5, p=1e6, d_max=2, k=36)
+        assert phase_rotated_load(cfg, 36, 2, mode="tx") != phase_rotated_load(cfg, 36, 2, mode="rx")
+        for mode in ("bogus", "TX", ""):
+            with pytest.raises(ValueError, match="mode"):
+                phase_rotated_load(cfg, 36, 2, mode=mode)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,9 @@ I_X_SLOW_U2 = 0.8288594215782352
 I_FINAL_D1 = 0.9036774610288021          # 0.5*log2(1+2.5)
 
 CFG = NetworkConfig(alpha=0.2, p=5.0)
+
+# Z = X + Y: a singular covariance of (X, Y, Z)
+SIGMA_SUM = np.array([[1.0, 0.3, 1.3], [0.3, 2.0, 2.3], [1.3, 2.3, 3.6]])
 
 
 class TestPowerAllocation:
@@ -164,6 +168,16 @@ class TestMonteCarloOracle:
         assert a == b
         assert a != c
 
+    def test_rejects_rank_deficient_term(self):
+        # with Z = X + Y every I(.; . | .) over X, Y, Z is infinite; the eigh
+        # fallback gave 24-26 bits or a LinAlgError depending on the seed, and
+        # Cholesky fails in only one of the six variable orders
+        spec = gmi.JointGaussianSpec(cov=SIGMA_SUM, num_layers=1)
+        for a, b, c in itertools.permutations(range(3)):
+            for seed in range(10):
+                with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                    mc_mutual_information(spec, [a], [b], [c], samples=10_000, seed=seed)
+
     def test_rejects_tiny_sample_count(self):
         spec = layered_covariance(PowerAllocation((1.0,)), CFG)
         with pytest.raises(ValueError):
@@ -220,9 +234,10 @@ class TestScatterSampler:
         _assert_wishart_moments(SIGMA_4, np.linalg.cholesky(SIGMA_4), samples)
 
     def test_rank_deficient_eigh_factor(self):
-        # third variable = sum of the first two: mc_mutual_information's
-        # Cholesky fails and it samples through v * sqrt(w) from eigh
-        sigma = np.array([[1.0, 0.3, 1.3], [0.3, 2.0, 2.3], [1.3, 2.3, 3.6]])
+        # third variable = sum of the first two: Cholesky fails (and
+        # mc_mutual_information rejects the term), but the sampler itself
+        # takes any factor, here v * sqrt(w) from eigh
+        sigma = SIGMA_SUM
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(sigma)
         w, v = np.linalg.eigh(sigma)

@@ -1,10 +1,11 @@
 """Byte-for-byte pins of canonical CLI outputs.
 
 The files under tests/golden/ were written by the CLI before the scheme-2
-batch kernel was vectorised across rounds (the two `region inner` files) and
-before `simulate` stopped simulating its top ladder power twice (the rest);
-a change that moves any byte of them changes a published output and must
-say so.
+batch kernel was vectorised across rounds (fig3 d4 and fig2), before
+`simulate` stopped simulating its top ladder power twice (outer, mux and
+simulate), and before the scheme-2 coordinate descents of a sweep ran in
+lockstep (fig3 d10 and corrected fig2); a change that moves any byte of them
+changes a published output and must say so.
 """
 from pathlib import Path
 
@@ -22,7 +23,14 @@ CASES = {
         "region", "inner", "--scheme", "2", "--p", "5", "--alpha", "0.2",
         "--pi", "2", "--grid", "64", "--dmax", "4",
     ],
+    "fig3_scheme2_dmax10.csv": [
+        "region", "inner", "--scheme", "2", "--p", "5", "--alpha", "0.2",
+        "--pi", "2", "--grid", "64", "--dmax", "10",
+    ],
     "fig2_both_dmax16.csv": ["region", "inner", "--scheme", "both", "--dmax", "16", "--pi", "0.346"],
+    "fig2_both_dmax16_corrected.csv": [
+        "region", "inner", "--scheme", "both", "--dmax", "16", "--pi", "0.346", "--corrected",
+    ],
     "outer_k_inf_p5.csv": ["region", "outer", "--k", "inf", "--p", "5", "--alpha", "0.2", "--pi", "0.346"],
     "mux_mu03_dmax10.csv": ["region", "mux", "--mu", "0.3", "--dmax", "10"],
     "simulate_rx_k220_dmax10": ["simulate", "rx", *SIMULATE],
