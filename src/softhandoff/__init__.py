@@ -1,114 +1,20 @@
 """Rate regions, multiplexing-gain polygons, and silencing-scheme simulators
 for the linear soft-handoff interference network with mixed delay constraints.
-"""
 
-from .model import (
-    ASYMPTOTIC_K,
-    HalfPlane,
-    MuxPair,
-    NetworkConfig,
-    RatePair,
-    Region,
-    boundary_slopes,
-    region_contains,
-    region_from_halfplanes,
-    validate_config,
-)
-from .gaussian_mi import (
-    JointGaussianSpec,
-    PowerAllocation,
-    SchemeOneTerms,
-    SchemeTwoTerms,
-    gaussian_mi,
-    layered_covariance,
-    mc_mutual_information,
-    scheme1_terms,
-    scheme2_terms,
-)
-from .inner_bound import (
-    BoundaryPoint,
-    BoundaryWitness,
-    SchemeOneEvaluation,
-    SchemeTwoEvaluation,
-    best_slow_rate_scheme2,
-    eval_scheme1,
-    eval_scheme2,
-    inner_boundary,
-    inner_region,
-    rate_transfer_closure,
-)
-from .outer_bound import OuterBoundValues, outer_constraints, outer_region
-from .mux_gain import MuxRegionSpec, corner_points, mu_max, mux_region, timeshare_point
-from .conf_sim import (
-    ConferenceMessage,
-    ConvergenceRow,
-    RateReport,
-    SilencingPattern,
-    Subnet,
-    UserRate,
-    build_silencing,
-    conferencing_load,
-    event_log_rows,
-    measure_mux_gains,
-    phase_rotated_load,
-    run_rx_conferencing,
-    run_tx_conferencing,
-)
-from .reference_curves import REFERENCE_CURVES, get_reference
+The package exports the public names of its modules, as each module's
+``__all__`` lists them.
+"""
+import sys as _sys
+
+from .model import *  # noqa: F403
+from .gaussian_mi import *  # noqa: F403
+from .inner_bound import *  # noqa: F403
+from .outer_bound import *  # noqa: F403
+from .mux_gain import *  # noqa: F403
+from .conf_sim import *  # noqa: F403
+from .reference_curves import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASYMPTOTIC_K",
-    "BoundaryPoint",
-    "BoundaryWitness",
-    "ConferenceMessage",
-    "ConvergenceRow",
-    "HalfPlane",
-    "JointGaussianSpec",
-    "MuxPair",
-    "MuxRegionSpec",
-    "NetworkConfig",
-    "OuterBoundValues",
-    "PowerAllocation",
-    "RatePair",
-    "RateReport",
-    "REFERENCE_CURVES",
-    "Region",
-    "SchemeOneEvaluation",
-    "SchemeOneTerms",
-    "SchemeTwoEvaluation",
-    "SchemeTwoTerms",
-    "SilencingPattern",
-    "Subnet",
-    "UserRate",
-    "best_slow_rate_scheme2",
-    "boundary_slopes",
-    "build_silencing",
-    "conferencing_load",
-    "corner_points",
-    "eval_scheme1",
-    "eval_scheme2",
-    "event_log_rows",
-    "gaussian_mi",
-    "get_reference",
-    "inner_boundary",
-    "inner_region",
-    "layered_covariance",
-    "mc_mutual_information",
-    "measure_mux_gains",
-    "mu_max",
-    "mux_region",
-    "outer_constraints",
-    "outer_region",
-    "phase_rotated_load",
-    "rate_transfer_closure",
-    "region_contains",
-    "region_from_halfplanes",
-    "run_rx_conferencing",
-    "run_tx_conferencing",
-    "scheme1_terms",
-    "scheme2_terms",
-    "timeshare_point",
-    "validate_config",
-]
+_MODULES = ("model", "gaussian_mi", "inner_bound", "outer_bound", "mux_gain", "conf_sim", "reference_curves")
+__all__ = [name for mod in _MODULES for name in _sys.modules[f"{__name__}.{mod}"].__all__]

@@ -13,6 +13,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .conf_sim import (
     build_silencing,
@@ -23,7 +25,7 @@ from .conf_sim import (
     validate_p_ladder,
 )
 from .inner_bound import inner_boundary
-from .model import ASYMPTOTIC_K, NetworkConfig, Region
+from .model import ASYMPTOTIC_K, NetworkConfig, Region, validate_config
 from .mux_gain import MuxRegionSpec, mux_region
 from .outer_bound import outer_region
 from .reference_curves import KNOWN_DISCREPANCIES, get_reference, match_inner_reference
@@ -40,12 +42,27 @@ def _outdir() -> str:
     return os.environ.get(_ENV_OUTDIR, ".")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
+def _cells(col) -> list[str]:
+    """Text of one CSV column: floats through _fmt and integers through str,
+    once per distinct value; anything else through str."""
+    col = np.asarray(col)
+    if col.dtype.kind not in "fiu":
+        return [str(v) for v in col.tolist()]
+    values, inverse = np.unique(col, return_inverse=True)
+    fmt = _fmt if col.dtype.kind == "f" else str
+    return np.array([fmt(v) for v in values.tolist()], dtype=object)[inverse].tolist()
+
+
+def _write_csv(path: str, header: list[str], columns: list) -> None:
+    """Write equal-length columns under a header, one row per line."""
+    lines = map(",".join, zip(*map(_cells, columns)))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
+
+
+def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]], source: str) -> None:
+    xy = np.array(chain, dtype=float).reshape(-1, 2)
+    _write_csv(path, header, [xy[:, 0], xy[:, 1], [source] * len(xy)])
 
 
 def _write_manifest(command: str, params: dict, outputs: list[str], seed: int) -> str:
@@ -115,9 +132,7 @@ def _run_region(params: dict) -> list[str]:
             mu=params["mu"],
             d_max=params["dmax"],
         )
-        chain = _upper_chain(mux_region(spec))
-        rows = [[x, y, spec.mode] for x, y in chain]
-        _write_csv(out, ["s_fast", "s_slow", "source"], rows)
+        _write_chain(out, ["s_fast", "s_slow", "source"], _upper_chain(mux_region(spec)), spec.mode)
         return [out]
 
     cfg = NetworkConfig(
@@ -129,8 +144,7 @@ def _run_region(params: dict) -> list[str]:
         mu=params.get("mu", 0.0),
     )
     if kind == "outer":
-        chain = _upper_chain(outer_region(cfg))
-        _write_csv(out, ["x_rate_bits", "y_rate_bits", "source"], [[x, y, "outer"] for x, y in chain])
+        _write_chain(out, ["x_rate_bits", "y_rate_bits", "source"], _upper_chain(outer_region(cfg)), "outer")
         return [out]
 
     if kind == "inner":
@@ -143,17 +157,16 @@ def _run_region(params: dict) -> list[str]:
         )
         ref_label = match_inner_reference(scheme, cfg.p, cfg.alpha, cfg.pi, cfg.d_max)
         header = ["x_rate_bits", "y_rate_bits", "source"]
+        columns = [
+            np.array([pt.x for pt in pts], dtype=float),
+            np.array([pt.y for pt in pts], dtype=float),
+            ["timeshare" if len(pt.components) > 1 else f"scheme{pt.components[0].scheme}" for pt in pts],
+        ]
         if ref_label:
             header.append("reference")
-        rows = []
-        for pt in pts:
-            src = "timeshare" if len(pt.components) > 1 else f"scheme{pt.components[0].scheme}"
-            row: list = [pt.x, pt.y, src]
-            if ref_label:
-                ref = _interp_reference(ref_label, pt.x)
-                row.append("" if ref is None else _fmt(ref))
-            rows.append(row)
-        _write_csv(out, header, rows)
+            refs = [_interp_reference(ref_label, pt.x) for pt in pts]
+            columns.append(["" if ref is None else _fmt(ref) for ref in refs])
+        _write_csv(out, header, columns)
         return [out]
 
     raise ValueError(f"unknown region kind {kind!r}")
@@ -174,6 +187,7 @@ def _run_simulate(params: dict) -> list[str]:
         pi=params.get("pi", 0.0),
         d_max=d_max,
     )
+    validate_config(cfg)
     pattern = build_silencing(k, d_max)
     run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
     report = run(cfg, pattern)
@@ -182,24 +196,23 @@ def _run_simulate(params: dict) -> list[str]:
     prefix = params.get("out") or os.path.join(_outdir(), f"simulate_{mode}")
 
     rates_path = prefix + "_rates.csv"
+    users = report.per_user
     _write_csv(
         rates_path,
         ["user", "kind", "rate_bits", "decode_round"],
-        [[str(u.user), u.kind, u.rate, str(u.decode_round)] for u in report.per_user],
+        [users.cols[name] for name in ("user", "kind", "rate", "decode_round")],
     )
 
-    events = [
-        [str(sub), str(user), kind, str(rnd), rate, str(frm), str(to)]
-        for sub, user, kind, rnd, rate, frm, to in event_log_rows(report, pattern)
-    ]
+    events = event_log_rows(report, pattern)
     events_path = prefix + "_events.csv"
-    _write_csv(events_path, ["subnet", "user", "event_kind", "round", "rate_bits", "from", "to"], events)
+    _write_csv(events_path, list(events.cols), list(events.cols.values()))
 
     conv_path = prefix + "_convergence.csv"
     _write_csv(
         conv_path,
         ["p", "s_fast_est", "s_slow_est", "avg_link_prelog", "max_link_prelog"],
-        [[r.p, r.s_fast_est, r.s_slow_est, r.avg_link_prelog, r.max_link_prelog] for r in rows],
+        list(np.array([[r.p, r.s_fast_est, r.s_slow_est, r.avg_link_prelog, r.max_link_prelog]
+                       for r in rows], dtype=float).T),
     )
     return [rates_path, events_path, conv_path]
 

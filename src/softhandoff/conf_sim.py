@@ -25,11 +25,25 @@ transmitter conferencing
 Rates are accounted analytically per decode step (the schemes' SNR algebra),
 not bit-simulated; forwarded estimates are taken as correct.  Everything is
 deterministic.
+
+A subnet's schedule depends only on its number of active cells, and a
+pattern has at most three such shapes: a leading partial subnet (nonzero
+offset), the full subnets and a trailing partial one.  Each shape is built
+once as a small integer template, one row per user (cell, kind, rate slot,
+round) and per message (round, from, to, rate slot, subject) with cells
+counted from the subnet's first, and tiled over its subnets with numpy; the
+rates of one power enter only through a 3- or 4-entry slot lookup.  A
+RateReport keeps the result as Columns: per-user and per-message records are
+built only when indexed or iterated, and the averages, link loads and event
+log are computed on the columns, every sum added left to right in log order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .model import MuxPair, NetworkConfig, validate_config
 
@@ -38,6 +52,7 @@ __all__ = [
     "SilencingPattern",
     "ConferenceMessage",
     "UserRate",
+    "Columns",
     "RateReport",
     "ConvergenceRow",
     "build_silencing",
@@ -49,6 +64,9 @@ __all__ = [
     "phase_rotated_load",
     "event_log_rows",
 ]
+
+_USER_KINDS = np.array(["fast", "slow", "silenced", "relay"], dtype=object)
+_FAST, _SLOW, _SILENCED, _RELAY = range(4)
 
 
 @dataclass(frozen=True)
@@ -90,12 +108,67 @@ class UserRate:
     decode_round: int
 
 
+def _py(v):
+    return v.item() if isinstance(v, np.generic) else v
+
+
+class Columns(Sequence):
+    """Records of one type held as numpy columns, one per field, in field order.
+
+    ``len`` is free; records are built only when indexed or iterated, from
+    Python scalars, so they compare and print like records built one by one.
+    """
+
+    def __init__(self, record, cols: dict[str, np.ndarray]):
+        self.record = record
+        self.cols = cols
+
+    @classmethod
+    def of(cls, record, records) -> Columns:
+        """The columns of a sequence of dataclass records."""
+        records = list(records)
+        return cls(record, {f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(record)})
+
+    def __len__(self) -> int:
+        return len(next(iter(self.cols.values())))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self.record(*(_py(c[i]) for c in self.cols.values()))
+
+    def __iter__(self):
+        return map(self.record, *(c.tolist() for c in self.cols.values()))
+
+    def __eq__(self, other):
+        if isinstance(other, Columns):
+            return (self.record is other.record and self.cols.keys() == other.cols.keys()
+                    and all(np.array_equal(c, other.cols[n]) for n, c in self.cols.items()))
+        if isinstance(other, (tuple, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Columns({getattr(self.record, '__name__', 'tuple')}, {len(self)} records)"
+
+
 @dataclass(frozen=True)
 class RateReport:
-    per_user: tuple[UserRate, ...]
+    """Per-user rates in user order, their per-cell averages, and the conference log.
+
+    per_user and conf_log may be given as sequences of UserRate and
+    ConferenceMessage records; the report holds them as Columns.
+    """
+
+    per_user: Columns
     avg_fast: float
     avg_slow: float
-    conf_log: tuple[ConferenceMessage, ...]
+    conf_log: Columns
+
+    def __post_init__(self) -> None:
+        for name, record in (("per_user", UserRate), ("conf_log", ConferenceMessage)):
+            if not isinstance(getattr(self, name), Columns):
+                object.__setattr__(self, name, Columns.of(record, getattr(self, name)))
 
 
 def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
@@ -103,8 +176,10 @@ def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
 
     A trailing partial subnet silences its last transmitter as well, which
     preserves the isolation invariant at a vanishing rate cost.  Requires
-    k >= 2*d_max+2.
+    d_max >= 1 and k >= 2*d_max+2.
     """
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
     period = 2 * d_max + 2
     if k < period:
         raise ValueError(f"K too small: need at least {period} cells for d_max={d_max}")
@@ -113,7 +188,7 @@ def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
 
     # cells congruent to the offset modulo the period (multiples by default);
     # a nonzero offset creates a leading partial subnet, isolated by the edge
-    silenced = {c for c in range(1, k + 1) if c % period == offset % period}
+    silenced = set(range(offset or period, k + 1, period))
     if not silenced or max(silenced) < k:
         silenced.add(k)  # trailing partial subnet loses its last transmitter
 
@@ -125,46 +200,80 @@ def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
     return SilencingPattern(k=k, d_max=d_max, silenced=frozenset(silenced), subnets=tuple(subnets))
 
 
-def _rx_subnet(sub: Subnet, d_max: int, r_fwd: float, r_bwd: float):
-    """Per-user rates and conference schedule of one rx-conferencing subnet."""
-    users: list[UserRate] = []
-    msgs: list[ConferenceMessage] = []
-    m = sub.active_count
+def _rx_template(m: int, d_max: int):
+    """User and message rows of an rx subnet with m active cells; slots index (r_fwd, r_bwd, 0)."""
     f = min(m, d_max + 1)
-    base = sub.first
-    for pos in range(1, f + 1):
-        kind = "fast" if pos == 1 else "slow"
-        users.append(UserRate(base + pos - 1, kind, r_fwd, decode_round=pos - 1))
-    for pos in range(f + 1, m + 1):
-        users.append(UserRate(base + pos - 1, "slow", r_bwd, decode_round=m - pos))
-    users.append(UserRate(sub.silenced_cell, "silenced", 0.0, decode_round=0))
-
+    users = [(pos - 1, _FAST if pos == 1 else _SLOW, 0, pos - 1) for pos in range(1, f + 1)]
+    users += [(pos - 1, _SLOW, 1, m - pos) for pos in range(f + 1, m + 1)]
+    users.append((m, _SILENCED, 2, 0))
     # forward hops: the estimate of cell j unlocks cell j+1 in round j
-    for pos in range(1, f):
-        msgs.append(
-            ConferenceMessage(
-                round=pos,
-                from_node=base + pos - 1,
-                to_node=base + pos,
-                payload_rate=r_fwd,
-                payload_kind="decoded_message_estimate",
-                subject=base + pos - 1,
-            )
-        )
-    # backward hops: cell q's message, decoded at receiver q+1, is delivered
-    # leftward in round m+1-q
-    for pos in range(m, f, -1):
-        msgs.append(
-            ConferenceMessage(
-                round=m + 1 - pos,
-                from_node=base + pos,      # receiver q+1 (silenced cell for q=m)
-                to_node=base + pos - 1,
-                payload_rate=r_bwd,
-                payload_kind="decoded_message_estimate",
-                subject=base + pos - 1,
-            )
-        )
+    msgs = [(pos, pos - 1, pos, 0, pos - 1) for pos in range(1, f)]
+    # backward hops: cell q's message, decoded at receiver q+1 (the silenced
+    # cell for q=m), is delivered leftward in round m+1-q
+    msgs += [(m + 1 - pos, pos, pos - 1, 1, pos - 1) for pos in range(m, f, -1)]
     return users, msgs
+
+
+def _tx_template(m: int, d_max: int):
+    """User and message rows of a tx subnet with m active cells; slots index
+    (r_first, r_dpc, r_bwd, 0), and every message carries the quantiser rate,
+    which equals r_first."""
+    f = min(m, d_max + 1)
+    users = [(pos - 1, _FAST if pos == f else _SLOW, 0 if pos == 1 else 1, 0) for pos in range(1, f + 1)]
+    if m > f:
+        users.append((f, _RELAY, 3, 0))
+        users += [(pos - 1, _SLOW, 2, 0) for pos in range(f + 2, m + 1)]
+        users.append((m, _SLOW, 2, 0))
+    else:
+        users.append((m, _SILENCED, 3, 0))
+    # forward quantisation hops, round j on link (j, j+1)
+    msgs = [(pos, pos - 1, pos, 0, pos - 1) for pos in range(1, f)]
+    # backward quantisation hops: cell q's codeword moves to transmitter q-1
+    # in round m+2-q (q = m+1 is the silenced cell, round 1)
+    msgs += [(m + 2 - pos, pos - 1, pos - 2, 0, pos - 1) for pos in range(m + 1, f + 1, -1)]
+    return users, msgs
+
+
+def _tiled(rows: list[tuple], width: int, shifted: list[int], firsts: np.ndarray) -> np.ndarray:
+    """Template rows repeated for each subnet, the shifted (cell) columns moved by its first cell."""
+    t = np.tile(np.array(rows, dtype=np.int64).reshape(len(rows), width), (len(firsts), 1))
+    t[:, shifted] += np.repeat(firsts, len(rows))[:, None]
+    return t
+
+
+def _running_sum(x: np.ndarray) -> float:
+    """x[0] + x[1] + ... added left to right, like Python 3.11's sum; np.sum adds pairwise."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
+def _simulate(pattern: SilencingPattern, template, rates: tuple[float, ...], payload_kind: str) -> RateReport:
+    """Tile each subnet shape's template over its subnets and look the rates up."""
+    firsts = np.array([s.first for s in pattern.subnets], dtype=np.int64)
+    sizes = np.array([s.active_count for s in pattern.subnets])
+    users, msgs, msg_subnet = [], [], []
+    for m in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == m)
+        u_rows, m_rows = template(m, pattern.d_max)
+        users.append(_tiled(u_rows, 4, [0], firsts[idx]))
+        msgs.append(_tiled(m_rows, 5, [1, 2, 4], firsts[idx]))
+        msg_subnet.append(np.repeat(idx, len(m_rows)))
+    # users in cell order; messages subnet by subnet, each in template order
+    u = np.concatenate(users)
+    user, kind, slot, rnd = np.ascontiguousarray(u[np.argsort(u[:, 0], kind="stable")].T)
+    mm = np.concatenate(msgs)
+    m_rnd, frm, to, m_slot, subject = np.ascontiguousarray(
+        mm[np.argsort(np.concatenate(msg_subnet), kind="stable")].T
+    )
+    table = np.array(rates)
+    rate = table[slot]
+    per_user = Columns(UserRate, {"user": user, "kind": _USER_KINDS[kind], "rate": rate, "decode_round": rnd})
+    conf_log = Columns(ConferenceMessage, {
+        "round": m_rnd, "from_node": frm, "to_node": to, "payload_rate": table[m_slot],
+        "payload_kind": np.full(len(m_rnd), payload_kind, dtype=object), "subject": subject,
+    })
+    avg_fast = _running_sum(rate[kind == _FAST]) / pattern.k
+    avg_slow = _running_sum(rate[kind == _SLOW]) / pattern.k
+    return RateReport(per_user, avg_fast, avg_slow, conf_log)
 
 
 def run_rx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateReport:
@@ -173,70 +282,7 @@ def run_rx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateRe
     p, a = cfg.p, cfg.alpha
     r_fwd = 0.5 * math.log2(1 + p)
     r_bwd = 0.5 * math.log2(1 + a * a * p)
-    users: list[UserRate] = []
-    msgs: list[ConferenceMessage] = []
-    for sub in pattern.subnets:
-        u, m = _rx_subnet(sub, pattern.d_max, r_fwd, r_bwd)
-        users.extend(u)
-        msgs.extend(m)
-    users.sort(key=lambda ur: ur.user)
-    avg_fast = sum(u.rate for u in users if u.kind == "fast") / pattern.k
-    avg_slow = sum(u.rate for u in users if u.kind == "slow") / pattern.k
-    return RateReport(tuple(users), avg_fast, avg_slow, tuple(msgs))
-
-
-def _tx_subnet(sub: Subnet, d_max: int, p: float, alpha: float):
-    """Per-user rates and conference schedule of one tx-conferencing subnet."""
-    q_rate = 0.5 * math.log2(1 + p)
-    d_q = p * 2.0 ** (-2 * q_rate)          # = p / (1 + p), Gaussian quantiser
-    a2 = alpha * alpha
-    r_first = 0.5 * math.log2(1 + p)
-    r_dpc = 0.5 * math.log2(1 + p / (1 + a2 * d_q))
-    r_bwd = 0.5 * math.log2(1 + a2 * p / (1 + a2 * d_q))
-
-    users: list[UserRate] = []
-    msgs: list[ConferenceMessage] = []
-    m = sub.active_count
-    f = min(m, d_max + 1)
-    base = sub.first
-    for pos in range(1, f + 1):
-        rate = r_first if pos == 1 else r_dpc
-        kind = "fast" if pos == f and f >= 1 else "slow"
-        users.append(UserRate(base + pos - 1, kind, rate, decode_round=0))
-    if m > f:
-        users.append(UserRate(base + f, "relay", 0.0, decode_round=0))
-        for pos in range(f + 2, m + 1):
-            users.append(UserRate(base + pos - 1, "slow", r_bwd, decode_round=0))
-        users.append(UserRate(sub.silenced_cell, "slow", r_bwd, decode_round=0))
-    else:
-        users.append(UserRate(sub.silenced_cell, "silenced", 0.0, decode_round=0))
-
-    # forward quantisation hops, round j on link (j, j+1)
-    for pos in range(1, f):
-        msgs.append(
-            ConferenceMessage(
-                round=pos,
-                from_node=base + pos - 1,
-                to_node=base + pos,
-                payload_rate=q_rate,
-                payload_kind="quantization_index",
-                subject=base + pos - 1,
-            )
-        )
-    # backward quantisation hops: cell q's codeword moves to transmitter q-1
-    # in round m+2-q (q = m+1 is the silenced cell, round 1)
-    for pos in range(m + 1, f + 1, -1):
-        msgs.append(
-            ConferenceMessage(
-                round=m + 2 - pos,
-                from_node=base + pos - 1,
-                to_node=base + pos - 2,
-                payload_rate=q_rate,
-                payload_kind="quantization_index",
-                subject=base + pos - 1,
-            )
-        )
-    return users, msgs
+    return _simulate(pattern, _rx_template, (r_fwd, r_bwd, 0.0), "decoded_message_estimate")
 
 
 def run_tx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateReport:
@@ -247,16 +293,12 @@ def run_tx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateRe
     alpha^2 * d_q to the noise floor of the affected decodes.
     """
     validate_config(cfg)
-    users: list[UserRate] = []
-    msgs: list[ConferenceMessage] = []
-    for sub in pattern.subnets:
-        u, m = _tx_subnet(sub, pattern.d_max, cfg.p, cfg.alpha)
-        users.extend(u)
-        msgs.extend(m)
-    users.sort(key=lambda ur: ur.user)
-    avg_fast = sum(u.rate for u in users if u.kind == "fast") / pattern.k
-    avg_slow = sum(u.rate for u in users if u.kind == "slow") / pattern.k
-    return RateReport(tuple(users), avg_fast, avg_slow, tuple(msgs))
+    p, a2 = cfg.p, cfg.alpha * cfg.alpha
+    q_rate = 0.5 * math.log2(1 + p)
+    d_q = p * 2.0 ** (-2 * q_rate)          # = p / (1 + p), Gaussian quantiser
+    r_dpc = 0.5 * math.log2(1 + p / (1 + a2 * d_q))
+    r_bwd = 0.5 * math.log2(1 + a2 * p / (1 + a2 * d_q))
+    return _simulate(pattern, _tx_template, (q_rate, r_dpc, r_bwd, 0.0), "quantization_index")
 
 
 def _simulator(mode: str):
@@ -266,6 +308,24 @@ def _simulator(mode: str):
     return run_rx_conferencing if mode == "rx" else run_tx_conferencing
 
 
+def _link_loads(frm: np.ndarray, to: np.ndarray, payload: np.ndarray, k: int,
+                half_log_p: float) -> tuple[float, float]:
+    """(per-link-direction max, average) prelog of a log of messages.
+
+    Payload is summed per direction and in total in log order, then divided
+    by 0.5*log2 P; the average spreads the total over 2*(k-1) directions.
+    """
+    top = total = 0.0
+    if len(payload):
+        lo = min(frm.min(), to.min())
+        span = max(frm.max(), to.max()) - lo + 1
+        _, direction = np.unique((frm - lo) * span + (to - lo), return_inverse=True)
+        per_dir = np.zeros(direction.max() + 1)
+        np.add.at(per_dir, direction, payload)  # unbuffered, in log order
+        top, total = float(per_dir.max()), _running_sum(payload)
+    return top / half_log_p, total / (max(k - 1, 1) * 2 * half_log_p)
+
+
 def conferencing_load(report: RateReport, p: float) -> tuple[float, float]:
     """(per-link-direction max prelog, network-average prelog) of a report.
 
@@ -273,19 +333,9 @@ def conferencing_load(report: RateReport, p: float) -> tuple[float, float]:
     scaling that defines the conferencing prelog.  The average divides the
     total payload over all messages by (links * 2 directions).
     """
-    half_log_p = 0.5 * math.log2(p)
-    k = len(report.per_user)
-    links = max(k - 1, 1)
-    per_dir: dict[tuple[int, int], float] = {}
-    total = 0.0
-    for msg in report.conf_log:
-        per_dir[(msg.from_node, msg.to_node)] = (
-            per_dir.get((msg.from_node, msg.to_node), 0.0) + msg.payload_rate
-        )
-        total += msg.payload_rate
-    per_link_max = max(per_dir.values(), default=0.0) / half_log_p
-    network_avg = total / (links * 2 * half_log_p)
-    return per_link_max, network_avg
+    log = report.conf_log.cols
+    return _link_loads(log["from_node"], log["to_node"], log["payload_rate"],
+                       len(report.per_user), 0.5 * math.log2(p))
 
 
 def phase_rotated_load(cfg: NetworkConfig, k: int, d_max: int, mode: str = "rx") -> tuple[float, float]:
@@ -298,39 +348,45 @@ def phase_rotated_load(cfg: NetworkConfig, k: int, d_max: int, mode: str = "rx")
     """
     period = 2 * d_max + 2
     run = _simulator(mode)
-    per_dir: dict[tuple[int, int], float] = {}
-    total = 0.0
-    for off in range(period):
-        rep = run(cfg, build_silencing(k, d_max, offset=off))
-        for msg in rep.conf_log:
-            key = (msg.from_node, msg.to_node)
-            per_dir[key] = per_dir.get(key, 0.0) + msg.payload_rate / period
-            total += msg.payload_rate / period
-    half_log_p = 0.5 * math.log2(cfg.p)
-    per_link_max = max(per_dir.values(), default=0.0) / half_log_p
-    network_avg = total / (max(k - 1, 1) * 2 * half_log_p)
-    return per_link_max, network_avg
+    logs = [run(cfg, build_silencing(k, d_max, offset=off)).conf_log.cols for off in range(period)]
+
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([log[name] for log in logs])
+
+    return _link_loads(joined("from_node"), joined("to_node"), joined("payload_rate") / period,
+                       k, 0.5 * math.log2(cfg.p))
 
 
-def event_log_rows(report: RateReport, pattern: SilencingPattern) -> list[tuple]:
+def _row(*fields):
+    return fields
+
+
+def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     """Flatten a report into (subnet, user, event_kind, round, rate_bits,
     from, to) event records: one per decode and one per conference message,
-    ordered by round."""
-    subnet_of = {}
-    for i, sub in enumerate(pattern.subnets):
-        for cell in range(sub.first, sub.silenced_cell + 1):
-            subnet_of[cell] = i
-    rows: list[tuple] = []
-    for u in report.per_user:
-        if u.kind in ("fast", "slow"):
-            rows.append((subnet_of[u.user], u.user, "decode", u.decode_round, u.rate, "", ""))
-    for m in report.conf_log:
-        rows.append(
-            (subnet_of[m.from_node], m.subject, "conference", m.round, m.payload_rate,
-             m.from_node, m.to_node)
-        )
-    rows.sort(key=lambda r: (r[3], r[2], r[1]))
-    return rows
+    ordered by round, then event kind ("conference" before "decode"), then
+    user, ties kept in log order.  Records are plain tuples; from and to are
+    "" for a decode.
+    """
+    users, log = report.per_user.cols, report.conf_log.cols
+    dec = (users["kind"] == "fast") | (users["kind"] == "slow")
+    n_dec, n_msg = int(np.count_nonzero(dec)), len(log["round"])
+    is_decode = np.repeat([1, 0], [n_dec, n_msg])
+    cells = np.concatenate([users["user"][dec], log["from_node"]])
+    if cells.size and not 1 <= cells.min() <= cells.max() <= pattern.k:
+        raise ValueError("report has cells outside the silencing pattern")
+    cols = {
+        "subnet": np.searchsorted([s.silenced_cell for s in pattern.subnets], cells),
+        "user": np.concatenate([users["user"][dec], log["subject"]]),
+        "event_kind": np.where(is_decode, "decode", "conference"),
+        "round": np.concatenate([users["decode_round"][dec], log["round"]]),
+        "rate_bits": np.concatenate([users["rate"][dec], log["payload_rate"]]),
+        "from": np.full(n_dec + n_msg, "", dtype=object),
+        "to": np.full(n_dec + n_msg, "", dtype=object),
+    }
+    cols["from"][n_dec:], cols["to"][n_dec:] = log["from_node"], log["to_node"]
+    order = np.lexsort((cols["user"], is_decode, cols["round"]))
+    return Columns(_row, {n: c[order] for n, c in cols.items()})
 
 
 @dataclass(frozen=True)

@@ -158,11 +158,19 @@ def gaussian_mi(spec: JointGaussianSpec, group_a, group_b, cond=()) -> float:
     if not a or not b:
         return 0.0
     cov = spec.cov
+    abc = sorted(a + b) + c
+    logdet_abc = _logdet(cov, abc)
+    # slogdet's sign misses a singular covariance whose determinant comes out
+    # positive at rounding level (Z = X + Y).  det / prod(diag) is the product
+    # of the relative Cholesky pivots, so at most the smallest, and by
+    # Fischer's inequality at most that of any of the other three sets.
+    if logdet_abc - np.log(cov.diagonal()[abc]).sum() <= math.log(_VAR_EPS):
+        raise np.linalg.LinAlgError("singular covariance submatrix that dimension reduction cannot fix")
     val = (
         _logdet(cov, a + c)
         + _logdet(cov, b + c)
         - _logdet(cov, c)
-        - _logdet(cov, sorted(a + b) + c)
+        - logdet_abc
     ) / (2 * _LN2)
     if val < -1e-6:
         raise ArithmeticError(f"determinant identity produced {val} < 0")

@@ -239,3 +239,23 @@ class TestManifestRoundTrip:
         )
         assert code == 2
         assert "p_ladder" in err
+
+    def test_dmax_below_one_exits_2_naming_dmax(self, tmp_path, capsys):
+        for dmax in ("-1", "0"):
+            code, _, err = run_cli(["simulate", "rx", "--k", "10", "--dmax", dmax, "--out", str(tmp_path / "s")],
+                                   capsys)
+            assert code == 2
+            assert "d_max must be at least 1" in err
+
+    @pytest.mark.parametrize("flag,value,field", [("--alpha", "2", "alpha"), ("--alpha", "0", "alpha"),
+                                                  ("--pi", "-1", "pi"), ("--pi", "nan", "pi")])
+    def test_bad_config_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch, flag, value, field):
+        def refuse(*args):
+            raise AssertionError("built the pattern before validating the config")
+
+        for name in ("build_silencing", "run_rx_conferencing", "run_tx_conferencing"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, _, err = run_cli(["simulate", "rx", "--k", "44000", "--dmax", "10", flag, value,
+                                "--out", str(tmp_path / "s")], capsys)
+        assert code == 2
+        assert field in err

@@ -1,8 +1,13 @@
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
 from softhandoff.conf_sim import (
+    ConferenceMessage,
+    ConvergenceRow,
+    UserRate,
     build_silencing,
     conferencing_load,
     event_log_rows,
@@ -37,6 +42,11 @@ class TestBuildSilencing:
     def test_too_small(self):
         with pytest.raises(ValueError, match="K too small"):
             build_silencing(3, 1)
+
+    def test_rejects_dmax_below_one_by_name(self):
+        for d_max in (0, -1):
+            with pytest.raises(ValueError, match="d_max must be at least 1"):
+                build_silencing(10, d_max)
 
     def test_trailing_partial_subnet(self):
         p = build_silencing(10, 1)
@@ -224,6 +234,12 @@ class TestEventLog:
         for r in rows:
             assert r[0] in (0, 1)  # subnet index
 
+    def test_rejects_report_of_a_larger_network(self):
+        cfg = NetworkConfig(alpha=0.2, p=5.0, d_max=1, k=12)
+        rep = run_rx_conferencing(cfg, build_silencing(12, 1))
+        with pytest.raises(ValueError, match="outside the silencing pattern"):
+            event_log_rows(rep, build_silencing(8, 1))
+
 
 class TestConferencingLoad:
     def test_network_average_near_mu_max(self):
@@ -251,3 +267,198 @@ class TestConferencingLoad:
         for mode in ("bogus", "TX", ""):
             with pytest.raises(ValueError, match="mode"):
                 phase_rotated_load(cfg, 36, 2, mode=mode)
+
+
+# --------------------------------------------------------------------------
+# Reference: the per-subnet record loops the columnar simulator replaced
+# --------------------------------------------------------------------------
+
+def _ref_rx_subnet(sub, d_max, r_fwd, r_bwd):
+    users, msgs = [], []
+    m = sub.active_count
+    f = min(m, d_max + 1)
+    base = sub.first
+    for pos in range(1, f + 1):
+        kind = "fast" if pos == 1 else "slow"
+        users.append(UserRate(base + pos - 1, kind, r_fwd, decode_round=pos - 1))
+    for pos in range(f + 1, m + 1):
+        users.append(UserRate(base + pos - 1, "slow", r_bwd, decode_round=m - pos))
+    users.append(UserRate(sub.silenced_cell, "silenced", 0.0, decode_round=0))
+    for pos in range(1, f):
+        msgs.append(ConferenceMessage(pos, base + pos - 1, base + pos, r_fwd,
+                                      "decoded_message_estimate", base + pos - 1))
+    for pos in range(m, f, -1):
+        msgs.append(ConferenceMessage(m + 1 - pos, base + pos, base + pos - 1, r_bwd,
+                                      "decoded_message_estimate", base + pos - 1))
+    return users, msgs
+
+
+def _ref_tx_subnet(sub, d_max, p, alpha):
+    q_rate = 0.5 * math.log2(1 + p)
+    d_q = p * 2.0 ** (-2 * q_rate)
+    a2 = alpha * alpha
+    r_first = 0.5 * math.log2(1 + p)
+    r_dpc = 0.5 * math.log2(1 + p / (1 + a2 * d_q))
+    r_bwd = 0.5 * math.log2(1 + a2 * p / (1 + a2 * d_q))
+    users, msgs = [], []
+    m = sub.active_count
+    f = min(m, d_max + 1)
+    base = sub.first
+    for pos in range(1, f + 1):
+        rate = r_first if pos == 1 else r_dpc
+        kind = "fast" if pos == f and f >= 1 else "slow"
+        users.append(UserRate(base + pos - 1, kind, rate, decode_round=0))
+    if m > f:
+        users.append(UserRate(base + f, "relay", 0.0, decode_round=0))
+        for pos in range(f + 2, m + 1):
+            users.append(UserRate(base + pos - 1, "slow", r_bwd, decode_round=0))
+        users.append(UserRate(sub.silenced_cell, "slow", r_bwd, decode_round=0))
+    else:
+        users.append(UserRate(sub.silenced_cell, "silenced", 0.0, decode_round=0))
+    for pos in range(1, f):
+        msgs.append(ConferenceMessage(pos, base + pos - 1, base + pos, q_rate,
+                                      "quantization_index", base + pos - 1))
+    for pos in range(m + 1, f + 1, -1):
+        msgs.append(ConferenceMessage(m + 2 - pos, base + pos - 1, base + pos - 2, q_rate,
+                                      "quantization_index", base + pos - 1))
+    return users, msgs
+
+
+def _ref_run(cfg, pattern, mode):
+    users, msgs = [], []
+    for sub in pattern.subnets:
+        if mode == "rx":
+            u, m = _ref_rx_subnet(sub, pattern.d_max, 0.5 * math.log2(1 + cfg.p),
+                                  0.5 * math.log2(1 + cfg.alpha * cfg.alpha * cfg.p))
+        else:
+            u, m = _ref_tx_subnet(sub, pattern.d_max, cfg.p, cfg.alpha)
+        users.extend(u)
+        msgs.extend(m)
+    users.sort(key=lambda ur: ur.user)
+    # Python 3.11's sum of floats adds left to right
+    avg_fast = sum(u.rate for u in users if u.kind == "fast") / pattern.k
+    avg_slow = sum(u.rate for u in users if u.kind == "slow") / pattern.k
+    return tuple(users), avg_fast, avg_slow, tuple(msgs)
+
+
+def _ref_load(msgs, k, p, scale=1):
+    half_log_p = 0.5 * math.log2(p)
+    per_dir, total = {}, 0.0
+    for msg in msgs:
+        key = (msg.from_node, msg.to_node)
+        per_dir[key] = per_dir.get(key, 0.0) + msg.payload_rate / scale
+        total += msg.payload_rate / scale
+    return max(per_dir.values(), default=0.0) / half_log_p, total / (max(k - 1, 1) * 2 * half_log_p)
+
+
+def _ref_event_rows(users, msgs, pattern):
+    subnet_of = {}
+    for i, sub in enumerate(pattern.subnets):
+        for cell in range(sub.first, sub.silenced_cell + 1):
+            subnet_of[cell] = i
+    rows = []
+    for u in users:
+        if u.kind in ("fast", "slow"):
+            rows.append((subnet_of[u.user], u.user, "decode", u.decode_round, u.rate, "", ""))
+    for m in msgs:
+        rows.append((subnet_of[m.from_node], m.subject, "conference", m.round, m.payload_rate,
+                     m.from_node, m.to_node))
+    rows.sort(key=lambda r: (r[3], r[2], r[1]))
+    return rows
+
+
+def _ref_convergence(cfg, pattern, ladder, mode):
+    rows, prev_fast, prev_slow, prev_norm = [], 0.0, 0.0, 0.0
+    for p in ladder:
+        _, avg_fast, avg_slow, msgs = _ref_run(replace(cfg, p=float(p)), pattern, mode)
+        norm = 0.5 * math.log2(1 + p)
+        max_pl, avg_pl = _ref_load(msgs, pattern.k, p)
+        rows.append(ConvergenceRow(float(p), (avg_fast - prev_fast) / (norm - prev_norm),
+                                   (avg_slow - prev_slow) / (norm - prev_norm), avg_pl, max_pl))
+        prev_fast, prev_slow, prev_norm = avg_fast, avg_slow, norm
+    return rows
+
+
+def _configs():
+    """(cfg, pattern) pairs: every offset for d_max 1..3, then seeded draws with
+    d_max 1..12, k = one period or with a trailing partial subnet."""
+    rng = random.Random(2024)
+    shapes = [(d, off) for d in (1, 2, 3) for off in range(2 * d + 2)]
+    shapes += [(d, rng.randrange(2 * d + 2)) for d in range(1, 13)]
+    out = []
+    for i, (d, off) in enumerate(shapes):
+        period = 2 * d + 2
+        k = period if i % 3 == 0 else period * rng.randint(1, 6) + rng.randrange(period)
+        alpha = rng.uniform(0.05, 0.95) * rng.choice((-1, 1))
+        p = 10 ** rng.uniform(-1, 6)
+        out.append((NetworkConfig(alpha=alpha, p=p, d_max=d, k=k), build_silencing(k, d, offset=off)))
+    return out
+
+
+CONFIGS = _configs()
+
+
+class TestColumnarMatchesRecordLoop:
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    def test_reports_loads_and_events(self, mode):
+        run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
+        assert len(CONFIGS) >= 30
+        seen_sizes = set()
+        for cfg, pattern in CONFIGS:
+            seen_sizes |= {s.active_count for s in pattern.subnets}
+            users, avg_fast, avg_slow, msgs = _ref_run(cfg, pattern, mode)
+            rep = run(cfg, pattern)
+            assert list(rep.per_user) == list(users)
+            assert list(rep.conf_log) == list(msgs)
+            assert [rep.per_user[i] for i in range(len(users))] == list(users)
+            assert (rep.avg_fast, rep.avg_slow) == (avg_fast, avg_slow)
+            assert conferencing_load(rep, cfg.p) == _ref_load(msgs, len(users), cfg.p)
+            assert list(event_log_rows(rep, pattern)) == _ref_event_rows(users, msgs, pattern)
+        # leading and trailing partial subnets down to no active cell at all
+        assert {0, 1} <= seen_sizes
+
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    def test_phase_rotated_load(self, mode):
+        for cfg, pattern in CONFIGS[::3]:
+            k, d = pattern.k, pattern.d_max
+            msgs = [m for off in range(2 * d + 2)
+                    for m in _ref_run(cfg, build_silencing(k, d, offset=off), mode)[3]]
+            assert phase_rotated_load(cfg, k, d, mode=mode) == _ref_load(msgs, k, cfg.p, scale=2 * d + 2)
+
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    def test_convergence_rows(self, mode):
+        for cfg, pattern in CONFIGS[::2]:
+            ladder = [1.5, 1e2, 1e4, 1e6]
+            _, rows = measure_mux_gains(cfg, pattern, ladder, mode=mode)
+            assert rows == _ref_convergence(cfg, pattern, ladder, mode)
+
+    def test_records_hold_python_scalars(self):
+        cfg, pattern = CONFIGS[5]
+        rep = run_tx_conferencing(cfg, pattern)
+        u, m = rep.per_user[-1], rep.conf_log[0]
+        assert [type(v) for v in (u.user, u.kind, u.rate, u.decode_round)] == [int, str, float, int]
+        assert [type(v) for v in (m.round, m.from_node, m.payload_rate, m.payload_kind)] == [int, int, float, str]
+        row = event_log_rows(rep, pattern)[0]
+        assert type(row) is tuple and [type(v) for v in row[:5]] == [int, int, str, int, float]
+
+
+class TestRateReportColumns:
+    def test_len_builds_no_record(self):
+        rep = run_rx_conferencing(NetworkConfig(alpha=0.5, p=10.0, d_max=2, k=20), build_silencing(20, 2))
+
+        def refuse(*args):
+            raise AssertionError("built a record")
+
+        rep.per_user.record = rep.conf_log.record = refuse
+        assert (len(rep.per_user), len(rep.conf_log)) == (20, 12)
+
+    def test_equality_with_records_and_reports(self):
+        cfg, pattern = CONFIGS[7]
+        rep = run_rx_conferencing(cfg, pattern)
+        users, avg_fast, avg_slow, msgs = _ref_run(cfg, pattern, "rx")
+        from_records = RateReport(per_user=users, avg_fast=avg_fast, avg_slow=avg_slow, conf_log=msgs)
+        assert rep == from_records
+        assert rep.per_user == users and users == rep.per_user
+        assert rep != run_rx_conferencing(replace(cfg, p=cfg.p * 2), pattern)
+        assert rep.per_user != rep.per_user[:-1]
+        assert conferencing_load(from_records, cfg.p) == conferencing_load(rep, cfg.p)

@@ -178,6 +178,14 @@ class TestMonteCarloOracle:
                 with pytest.raises(np.linalg.LinAlgError, match="singular"):
                     mc_mutual_information(spec, [a], [b], [c], samples=10_000, seed=seed)
 
+    def test_determinant_path_rejects_rank_deficient_term(self):
+        # slogdet of the singular X, Y, Z covariance comes out positive at
+        # rounding level, and gaussian_mi returned 25.5-26.0 bits in every order
+        spec = gmi.JointGaussianSpec(cov=SIGMA_SUM, num_layers=1)
+        for a, b, c in itertools.permutations(range(3)):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                gaussian_mi(spec, [a], [b], [c])
+
     def test_rejects_tiny_sample_count(self):
         spec = layered_covariance(PowerAllocation((1.0,)), CFG)
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ The files under tests/golden/ were written by the CLI before the scheme-2
 batch kernel was vectorised across rounds (fig3 d4 and fig2), before
 `simulate` stopped simulating its top ladder power twice (outer, mux and
 simulate), and before the scheme-2 coordinate descents of a sweep ran in
-lockstep (fig3 d10 and corrected fig2); a change that moves any byte of them
-changes a published output and must say so.
+lockstep (fig3 d10 and corrected fig2), and before the silencing simulator
+tiled subnet templates and wrote its CSVs column-wise (simulate with a
+trailing partial subnet, and at d_max=1); a change that moves any byte of
+them changes a published output and must say so.
 """
 from pathlib import Path
 
@@ -35,6 +37,15 @@ CASES = {
     "mux_mu03_dmax10.csv": ["region", "mux", "--mu", "0.3", "--dmax", "10"],
     "simulate_rx_k220_dmax10": ["simulate", "rx", *SIMULATE],
     "simulate_tx_k220_dmax10": ["simulate", "tx", *SIMULATE],
+    # 230 = 10 full subnets of 22 cells plus a trailing partial subnet of 10
+    "simulate_rx_k230_dmax10": ["simulate", "rx", "--k", "230", "--dmax", "10", "--alpha", "0.5",
+                                "--p-ladder", "1e2,1e4,1e6"],
+    "simulate_tx_k230_dmax10": ["simulate", "tx", "--k", "230", "--dmax", "10", "--alpha", "0.5",
+                                "--p-ladder", "1e2,1e4,1e6"],
+    "simulate_rx_k10_dmax1": ["simulate", "rx", "--k", "10", "--dmax", "1", "--alpha", "0.3",
+                              "--p-ladder", "10,1e3,1e5"],
+    "simulate_tx_k10_dmax1": ["simulate", "tx", "--k", "10", "--dmax", "1", "--alpha", "0.3",
+                              "--p-ladder", "10,1e3,1e5"],
 }
 
 
