@@ -25,7 +25,7 @@ from .conf_sim import (
     validate_p_ladder,
 )
 from .inner_bound import inner_boundary
-from .model import ASYMPTOTIC_K, NetworkConfig, Region, validate_config
+from .model import ASYMPTOTIC_K, NetworkConfig, upper_chain, validate_config
 from .mux_gain import MuxRegionSpec, mux_region
 from .outer_bound import outer_region
 from .reference_curves import KNOWN_DISCREPANCIES, get_reference, match_inner_reference
@@ -82,44 +82,25 @@ def _write_manifest(command: str, params: dict, outputs: list[str], seed: int) -
     return path
 
 
-def _upper_chain(region: Region) -> list[tuple[float, float]]:
-    """Region boundary from the y-intercept to the x-intercept, x ascending."""
-    if region.kind == "polyline":
-        return list(region.vertices)
-    v = list(region.vertices)
-    tol = 1e-12
-    xi = max((i for i, (x, y) in enumerate(v) if y <= tol), key=lambda i: v[i][0])
-    yi = max((i for i, (x, y) in enumerate(v) if x <= tol), key=lambda i: v[i][1])
-    chain = []
-    i = xi
-    while True:
-        chain.append(v[i])
-        if i == yi:
-            break
-        i = (i + 1) % len(v)
-    chain.reverse()
-    return chain
-
-
-def _interp_reference(label: str, x: float) -> float | None:
-    pts = get_reference(label)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    if x < xs[0] - 1e-12 or x > xs[-1] + 1e-12:
-        return None
+def _interp(pts: list[tuple[float, float]], x: float, tol: float) -> float:
+    """Piecewise-linear value at x of points sorted by x, clamped to the ends;
+    x belongs to the first segment whose right end is within tol of it."""
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x <= x1 + 1e-12:
+        if x <= x1 + tol:
             if x1 == x0:
                 return y1
             t = min(max((x - x0) / (x1 - x0), 0.0), 1.0)
             return y0 + t * (y1 - y0)
-    return ys[-1]
+    return pts[-1][1]
 
 
 def _parse_k(text: str) -> float:
     if str(text).lower() in ("inf", "infinity", "asymptotic"):
         return ASYMPTOTIC_K
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"k must be an integer or inf, got {text!r}") from None
 
 
 def _run_region(params: dict) -> list[str]:
@@ -132,7 +113,7 @@ def _run_region(params: dict) -> list[str]:
             mu=params["mu"],
             d_max=params["dmax"],
         )
-        _write_chain(out, ["s_fast", "s_slow", "source"], _upper_chain(mux_region(spec)), spec.mode)
+        _write_chain(out, ["s_fast", "s_slow", "source"], upper_chain(mux_region(spec)), spec.mode)
         return [out]
 
     cfg = NetworkConfig(
@@ -144,7 +125,7 @@ def _run_region(params: dict) -> list[str]:
         mu=params.get("mu", 0.0),
     )
     if kind == "outer":
-        _write_chain(out, ["x_rate_bits", "y_rate_bits", "source"], _upper_chain(outer_region(cfg)), "outer")
+        _write_chain(out, ["x_rate_bits", "y_rate_bits", "source"], upper_chain(outer_region(cfg)), "outer")
         return [out]
 
     if kind == "inner":
@@ -164,8 +145,9 @@ def _run_region(params: dict) -> list[str]:
         ]
         if ref_label:
             header.append("reference")
-            refs = [_interp_reference(ref_label, pt.x) for pt in pts]
-            columns.append(["" if ref is None else _fmt(ref) for ref in refs])
+            ref = get_reference(ref_label)
+            lo, hi = ref[0][0] - 1e-12, ref[-1][0] + 1e-12
+            columns.append([_fmt(_interp(ref, pt.x, 1e-12)) if lo <= pt.x <= hi else "" for pt in pts])
         _write_csv(out, header, columns)
         return [out]
 
@@ -237,23 +219,14 @@ def _run_compare(params: dict, stream) -> list[str]:
     if lo > hi + 1e-12:
         raise ValueError("x ranges of reference and computed curve do not overlap")
 
-    def interp(x: float) -> float:
-        pts = sorted(zip(xs, ys))
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x <= x1 + 1e-15:
-                if x1 == x0:
-                    return y1
-                t = min(max((x - x0) / (x1 - x0), 0.0), 1.0)
-                return y0 + t * (y1 - y0)
-        return pts[-1][1]
-
+    pts = sorted(zip(xs, ys))
     print(f"comparison against {label} on x in [{_fmt(lo)}, {_fmt(hi)}]", file=stream)
     print("x,y_reference,y_computed,dy", file=stream)
     worst = (0.0, 0.0)
     for rx, ry in ref:
         if rx < lo - 1e-12 or rx > hi + 1e-12:
             continue
-        cy = interp(rx)
+        cy = _interp(pts, rx, 1e-15)
         dy = cy - ry
         if abs(dy) > abs(worst[1]):
             worst = (rx, dy)

@@ -8,12 +8,13 @@ total of all conferenced parts must fit in pi.
 
 The region sweep works in cumulative-power space with vectorised closed
 forms; the per-allocation evaluators go through the log-determinant path so
-the two routes cross-check each other.  Scheme 2 is searched on a lattice and
-then refined by coordinate descent from several seeds per fast-rate bin; the
-descents of all bins run in lockstep, one vectorised evaluation per (sweep,
-coordinate) step for all of them, and each follows exactly the path it would
-follow alone.  Boundaries carry witness allocations so that every reported point can
-be re-derived.
+the two routes cross-check each other.  Under the printed rate terms the best
+allocation of every fast-rate bin is known in closed form (see _best_per_bin).
+The corrected terms are searched: a lattice, then coordinate descent from
+several seeds per bin, all bins' descents in lockstep, one vectorised
+evaluation per (sweep, coordinate) step, each following exactly the path it
+would follow alone.  Boundaries carry witness allocations so that every
+reported point can be re-derived.
 """
 from __future__ import annotations
 
@@ -107,6 +108,14 @@ def eval_scheme2(
 # Vectorised closed-form sweeps (cumulative-power space)
 # ---------------------------------------------------------------------------
 
+def _scheme1_caps(b1, b2, b3, cfg: NetworkConfig, corrected: bool):
+    """(r_fast, r_sum) of scheme 1 at cumulative powers b1 <= b2 <= b3 (arrays)."""
+    p, a = cfg.p, cfg.alpha
+    fast = np.minimum(cf_cum_vs_y(b2, b3, p, a), cf_cum_vs_y_cond(b1, b2, b3, p, a) + cfg.pi)
+    b_cond = b2 if corrected else b1
+    return fast, fast + cf_scheme1_slow(b_cond, b1, b3, p, a)
+
+
 def _scheme1_table(cfg: NetworkConfig, n: int, corrected: bool):
     """All (r_fast, r_sum) values on the 3-layer sub-simplex grid of step 1/n.
 
@@ -119,13 +128,7 @@ def _scheme1_table(cfg: NetworkConfig, n: int, corrected: bool):
     b1 = i[mask] / n
     b2 = (i[mask] + j[mask]) / n
     b3 = (i[mask] + j[mask] + k[mask]) / n
-    p, a = cfg.p, cfg.alpha
-    fast = np.minimum(
-        cf_cum_vs_y(b2, b3, p, a),
-        cf_cum_vs_y_cond(b1, b2, b3, p, a) + cfg.pi,
-    )
-    b_cond = b2 if corrected else b1
-    rsum = fast + cf_scheme1_slow(b_cond, b1, b3, p, a)
+    fast, rsum = _scheme1_caps(b1, b2, b3, cfg, corrected)
     return fast, rsum, np.column_stack([b1, b2, b3])
 
 
@@ -157,10 +160,7 @@ def _scheme2_grid(L: int, budget: int = 25_000) -> np.ndarray:
     n = 1
     while math.comb(n + 1 + L, L) <= budget:
         n += 1
-    pts = np.array(
-        list(itertools.combinations_with_replacement(range(n + 1), L)), dtype=float
-    )
-    return pts / n
+    return np.array(list(itertools.combinations_with_replacement(range(n + 1), L)), dtype=float) / n
 
 
 _BLOCK_ROWS = 2048
@@ -187,15 +187,15 @@ def _scheme2_lattice(cfg: NetworkConfig, corrected: bool):
     return B, r_fast, conf, tot
 
 
-def _seed_b1(x: float, cfg: NetworkConfig) -> float | None:
-    """Smallest cumulative depth-1 power giving fast rate x at full total power."""
+def _u0(x: float, cfg: NetworkConfig) -> float | None:
+    """Power above depth 0, in [0, 1], that leaves fast rate x at full total
+    power (None when x exceeds that fast cap); the scheme-2 "top" vector
+    (1 - u0, ..., 1 - u0, 1) puts all of it on the top layer."""
     p, a = cfg.p, cfg.alpha
-    n_full = 1 + p * (1 + a * a)
-    resid = n_full / (4.0 ** x) - 1 - a * a * p
-    b1 = 1 - resid / p
-    if b1 > 1 + 1e-9:
+    u0 = ((1 + p * (1 + a * a)) / (4.0 ** x) - 1 - a * a * p) / p
+    if 1 - u0 > 1 + 1e-9:
         return None
-    return min(max(b1, 0.0), 1.0)
+    return min(max(u0, 0.0), 1.0)
 
 
 def _coordinate_descent(
@@ -265,8 +265,9 @@ def _scheme2_candidates(cfg: NetworkConfig, x: float, grid_best: np.ndarray | No
     """Deterministic top, linspace and lattice seeds for the bin at fast rate x."""
     L = cfg.d_max + 1
     seeds: list[np.ndarray] = []
-    b1 = _seed_b1(x, cfg)
-    if b1 is not None:
+    u0 = _u0(x, cfg)
+    if u0 is not None:
+        b1 = 1 - u0
         top = np.full(L, b1)
         top[-1] = 1.0
         seeds.append(top)
@@ -319,13 +320,17 @@ def _upper_concave_envelope(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     return hull
 
 
-def _best_per_bin(
-    cfg: NetworkConfig,
-    want1: bool,
-    want2: bool,
-    grid_resolution: int,
-    corrected: bool,
-    refine: bool,
+def _points(xs: np.ndarray, bests) -> list[tuple[float, float, int, PowerAllocation]]:
+    """(x, y, scheme, alloc) of every bin that has a finite best sum cap."""
+    return [
+        (float(x), best_val - float(x), scheme, alloc)
+        for x, (best_val, scheme, alloc) in zip(xs, bests)
+        if alloc is not None and math.isfinite(best_val)
+    ]
+
+
+def _search_per_bin(
+    cfg: NetworkConfig, want1: bool, want2: bool, grid_resolution: int, corrected: bool
 ) -> list[tuple[float, float, int, PowerAllocation]]:
     """(x, y, scheme, alloc) of the best allocation found at each fast rate x.
 
@@ -336,29 +341,20 @@ def _best_per_bin(
     the warm seed (the last descent that won a bin) descends here, one bin at
     a time, since it depends on the earlier bins.
     """
-    s1_fast = s1_sum = s1_B = None
     if want1:
         s1_fast, s1_sum, s1_B = _scheme1_table(cfg, 64, corrected)
-
-    s2_fast = s2_conf = s2_sum = s2_B = None
     if want2:
         s2_B, s2_fast, s2_conf, s2_sum = _scheme2_lattice(cfg, corrected)
 
-    x_max = 0.0
-    if want1:
-        x_max = max(x_max, float(np.max(s1_fast)))
+    x_max = float(np.max(s1_fast)) if want1 else 0.0
     if want2:
+        # the true scheme-2 fast cap is limited by pi through the load; the
+        # all-zero lattice vector has no load, so some vector is feasible
         feas = s2_conf <= cfg.pi + 1e-9
-        if np.any(feas):
-            x2 = float(np.max(s2_fast[feas]))
-            if refine:
-                # the true scheme-2 fast cap is limited by pi through the load
-                x2 = max(x2, min(cfg.pi, float(np.max(s2_fast))))
-            x_max = max(x_max, x2)
+        x2 = max(float(np.max(s2_fast[feas])), min(cfg.pi, float(np.max(s2_fast))))
+        x_max = max(x_max, x2)
 
-    if x_max < 1e-12:
-        x_max = 0.0
-    xs = np.unique(np.linspace(0.0, x_max, grid_resolution + 1))
+    xs = np.unique(np.linspace(0.0, x_max if x_max >= 1e-12 else 0.0, grid_resolution + 1))
 
     # per bin: (best value, its scheme, its allocation), and the lattice best
     bests: list[tuple[float, int, PowerAllocation | None]] = []
@@ -383,7 +379,7 @@ def _best_per_bin(
         bests.append(best)
         grid_best.append(grid_best_B)
 
-    if want2 and refine:
+    if want2:
         L = cfg.d_max + 1
         refined = [i for i, x in enumerate(xs) if x <= cfg.pi + 1e-12]
         seeds = [_scheme2_candidates(cfg, float(xs[i]), grid_best[i]) for i in refined]
@@ -404,11 +400,48 @@ def _best_per_bin(
                     bests[i] = (float(val), 2, _alloc_from_cumulative(B))
                     warm = B
 
-    return [
-        (float(x), best_val - float(x), scheme, alloc)
-        for x, (best_val, scheme, alloc) in zip(xs, bests)
-        if alloc is not None and math.isfinite(best_val)
-    ]
+    return _points(xs, bests)
+
+
+def _best_per_bin(
+    cfg: NetworkConfig, want1: bool, want2: bool, grid_resolution: int, corrected: bool
+) -> list[tuple[float, float, int, PowerAllocation]]:
+    """(x, y, scheme, alloc) of the best allocation at each fast rate x.
+
+    corrected=True searches (_search_per_bin).  Under the printed terms the
+    optimum is known and one _scheme2_batch call evaluates all of scheme 2:
+    - scheme 1 is the point (b1, b2, b3) = (0, 1, 1), which has both the
+      largest fast cap I and the largest sum cap 2I of the scheme;
+    - scheme 2 is the top vector of u0(x) in every bin with x <= pi.  With
+      h(u) = 1/2 log2(1 + uP), round d >= 1 is at most h(u_{d-1}) - h(u_d),
+      so the middle rounds and the final term add up to at most h(u0), which
+      empty middle layers reach at no extra load: y = h(u0(x)) whatever d_max.
+    """
+    if corrected:
+        return _search_per_bin(cfg, want1, want2, grid_resolution, corrected)
+    L = cfg.d_max + 1
+    x_max = 0.0
+    if want1:
+        s1_fast, s1_sum = _scheme1_caps(np.zeros(1), np.ones(1), np.ones(1), cfg, False)
+        x_max = float(s1_fast[0])
+    if want2:
+        x_max = max(x_max, min(cfg.pi, float(_scheme2_batch(np.ones((1, L)), cfg)[0][0])))
+    xs = np.unique(np.linspace(0.0, x_max if x_max >= 1e-12 else 0.0, grid_resolution + 1))
+
+    bests: list[tuple[float, int, PowerAllocation | None]] = [(-np.inf, 0, None)] * len(xs)
+    if want1:
+        bests = [(float(s1_sum[0]), 1, PowerAllocation((0.0, 1.0, 0.0)))] * len(xs)
+    if want2:
+        u0 = np.array([_u0(float(x), cfg) if x <= cfg.pi + 1e-12 else None for x in xs], dtype=float)
+        rows = np.flatnonzero(~np.isnan(u0))
+        B = np.ones((rows.size, L))
+        B[:, :-1] = 1 - u0[rows, None]
+        r_fast, conf, tot = _scheme2_batch(B, cfg)
+        ok = (r_fast >= xs[rows] - 1e-9) & (conf <= cfg.pi + 1e-9)
+        for i, b, val in zip(rows[ok], B[ok], tot[ok]):
+            if val > bests[i][0]:
+                bests[i] = (float(val), 2, _alloc_from_cumulative(b))
+    return _points(xs, bests)
 
 
 def inner_boundary(
@@ -416,26 +449,23 @@ def inner_boundary(
     scheme: int | str = "both",
     grid_resolution: int = 64,
     corrected: bool = False,
-    refine: bool = True,
 ) -> list[BoundaryPoint]:
     """Sweep the achievable boundary on a fast-rate grid.
 
     For each target fast rate the best sum cap over all feasible allocations
-    is found (grid sweep for scheme 1, grid plus lockstep coordinate descent
-    for scheme 2, see _best_per_bin), then the pointwise-best of the requested
-    schemes is closed under time sharing (upper concave envelope).  The
-    rate-transfer closure is implicit: transferring fast rate to slow moves
-    along the same sum line.
+    is found (in closed form under the printed terms, by lattice plus lockstep
+    coordinate descent when corrected, see _best_per_bin), then the
+    pointwise-best of the requested schemes is closed under time sharing
+    (upper concave envelope).  The rate-transfer closure is implicit:
+    transferring fast rate to slow moves along the same sum line.
     """
     validate_config(cfg)
     scheme = str(scheme)
-    if scheme not in ("1", "2", "both", "best-of-both"):
+    if scheme not in ("1", "2", "both"):
         raise ValueError("scheme must be 1, 2, or both")
     if grid_resolution < 10:
         raise ValueError("grid_resolution must be at least 10")
-    want1 = scheme in ("1", "both", "best-of-both")
-    want2 = scheme in ("2", "both", "best-of-both")
-    raw = _best_per_bin(cfg, want1, want2, grid_resolution, corrected, refine)
+    raw = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
     if not raw:
         return []
 
@@ -473,10 +503,9 @@ def inner_region(
     scheme: int | str = "both",
     grid_resolution: int = 64,
     corrected: bool = False,
-    refine: bool = True,
 ) -> Region:
     """Boundary polyline of the achievable region (see inner_boundary)."""
-    pts = inner_boundary(cfg, scheme, grid_resolution, corrected, refine)
+    pts = inner_boundary(cfg, scheme, grid_resolution, corrected)
     if not pts:
         return Region(vertices=((0.0, 0.0),), kind="polyline", degenerate=True)
     verts = tuple((p.x, p.y) for p in pts)
@@ -546,28 +575,30 @@ def rate_transfer_closure(region: Region) -> Region:
     return Region(vertices=tuple(merged), kind="polyline", degenerate=region.degenerate)
 
 
-def best_slow_rate_scheme2(
-    cfg: NetworkConfig, refine: bool = True, corrected: bool = False
-) -> tuple[float, PowerAllocation]:
+def _search_slow_rate(cfg: NetworkConfig, corrected: bool) -> tuple[float, PowerAllocation]:
+    """Best scheme-2 sum cap at zero fast rate: lattice best, then descents.
+
+    The all-zero lattice vector has no load, so the lattice best exists.
+    """
+    grid, _, conf, tot = _scheme2_lattice(cfg, corrected)
+    k = int(np.argmax(np.where(conf <= cfg.pi + 1e-9, tot, -np.inf)))
+    best_val, best_B = float(tot[k]), grid[k]
+    seeds = _scheme2_candidates(cfg, 0.0, best_B)
+    vals, Bs = _coordinate_descent(np.reshape(seeds, (-1, cfg.d_max + 1)), cfg, 0.0, corrected)
+    for val, B in zip(vals, Bs):
+        if val > best_val:
+            best_val, best_B = float(val), B
+    return best_val, _alloc_from_cumulative(best_B)
+
+
+def best_slow_rate_scheme2(cfg: NetworkConfig, corrected: bool = False) -> tuple[float, PowerAllocation]:
     """Best slow rate of scheme 2 at zero fast rate (the region's y-intercept).
 
-    Returns the optimiser value and its witness allocation.
+    Returns the optimiser value and its witness allocation.  Under the
+    printed terms this is 1/2 log2(1 + P) with all power on the top layer
+    (see _best_per_bin); corrected=True searches.
     """
     validate_config(cfg)
-    L = cfg.d_max + 1
-    grid, _, conf, tot = _scheme2_lattice(cfg, corrected)
-    mask = conf <= cfg.pi + 1e-9
-    best_val = -math.inf
-    best_B = None
-    if np.any(mask):
-        k = int(np.argmax(np.where(mask, tot, -np.inf)))
-        best_val, best_B = float(tot[k]), grid[k]
-    if refine:
-        seeds = _scheme2_candidates(cfg, 0.0, best_B)
-        vals, Bs = _coordinate_descent(np.reshape(seeds, (-1, L)), cfg, 0.0, corrected)
-        for val, B in zip(vals, Bs):
-            if val > best_val:
-                best_val, best_B = float(val), B
-    if best_B is None:
-        return 0.0, PowerAllocation(tuple([0.0] * L))
-    return best_val, _alloc_from_cumulative(best_B)
+    if corrected:
+        return _search_slow_rate(cfg, corrected)
+    return 0.5 * math.log2(1 + cfg.p), PowerAllocation((0.0,) * cfg.d_max + (1.0,))

@@ -20,6 +20,7 @@ __all__ = [
     "region_from_halfplanes",
     "region_contains",
     "boundary_slopes",
+    "upper_chain",
 ]
 
 #: Distinguished user count for the large-network limit.
@@ -279,40 +280,35 @@ def region_contains(region: Region, point: tuple[float, float], tol: float = 0.0
     return True
 
 
+def upper_chain(region: Region) -> list[tuple[float, float]]:
+    """Region boundary from the y-intercept to the x-intercept, x ascending:
+    a polyline itself, or a polygon's CCW cycle reversed between its rightmost
+    x-axis vertex and its topmost y-axis vertex."""
+    v = list(region.vertices)
+    if region.kind == "polyline":
+        return v
+    xi = max((i for i, (x, y) in enumerate(v) if y <= VERTEX_TOL), key=lambda i: v[i][0])
+    yi = max((i for i, (x, y) in enumerate(v) if x <= VERTEX_TOL), key=lambda i: v[i][1])
+    chain = []
+    i = xi
+    while True:
+        chain.append(v[i])
+        if i == yi:
+            break
+        i = (i + 1) % len(v)
+    chain.reverse()
+    return chain
+
+
 def boundary_slopes(region: Region) -> list[tuple[tuple[tuple[float, float], tuple[float, float]], float]]:
     """Slopes of the boundary between the y-intercept and the x-intercept.
 
     Returns (segment, slope) pairs ordered by increasing x.  Vertical segments
     get slope -inf.  Degenerate regions raise ValueError.
     """
-    if region.degenerate:
+    if region.degenerate or (region.kind != "polyline" and len(region.vertices) < 3):
         raise ValueError("degenerate region has no boundary slopes")
-    v = list(region.vertices)
-
-    if region.kind == "polyline":
-        chain = v
-    else:
-        if len(v) < 3:
-            raise ValueError("degenerate region has no boundary slopes")
-        # CCW cycle starts at the origin-most vertex; the informative chain runs
-        # from the topmost y-axis vertex back (in CCW order) to the rightmost
-        # x-axis vertex, i.e. reversed CCW between those two.
-        xi = max(
-            (i for i, (x, y) in enumerate(v) if y <= VERTEX_TOL),
-            key=lambda i: v[i][0],
-        )
-        yi = max(
-            (i for i, (x, y) in enumerate(v) if x <= VERTEX_TOL),
-            key=lambda i: v[i][1],
-        )
-        chain = []
-        i = xi
-        while True:
-            chain.append(v[i])
-            if i == yi:
-                break
-            i = (i + 1) % len(v)
-        chain.reverse()
+    chain = upper_chain(region)
 
     out = []
     for p0, p1 in zip(chain, chain[1:]):

@@ -55,10 +55,8 @@ def mux_region(spec: MuxRegionSpec) -> Region:
     """The polygon {2x + y <= 1, x + y <= sum cap} in the first quadrant."""
     c = _sum_cap(spec)
     half = Fraction(1, 2)
-    if c < half:
+    if c <= half:
         verts = [(0, 0), (c, Fraction(0)), (Fraction(0), c)]
-    elif c == half:
-        verts = [(0, 0), (half, Fraction(0)), (Fraction(0), half)]
     else:
         verts = [
             (0, 0),

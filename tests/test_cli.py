@@ -75,6 +75,14 @@ class TestRegionCommand:
         assert f"{flag[2:]} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["2.5", "1e400", "abc"])
+    def test_bad_k_exit_2_names_k(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["region", "outer", "--k", value, "--out", str(out)], capsys)
+        assert code == 2
+        assert "k must be an integer or inf" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_outputs_and_convergence(self, tmp_path, capsys):

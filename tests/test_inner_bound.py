@@ -14,7 +14,9 @@ from softhandoff.inner_bound import (
     _scheme1_table,
     _scheme2_batch,
     _scheme2_lattice,
-    _seed_b1,
+    _search_per_bin,
+    _search_slow_rate,
+    _u0,
     best_slow_rate_scheme2,
     eval_scheme1,
     eval_scheme2,
@@ -125,8 +127,8 @@ class TestInnerBoundary:
     def test_monotone_in_pi(self):
         cfg_lo = NetworkConfig(alpha=0.2, p=5.0, pi=0.1, d_max=2)
         cfg_hi = NetworkConfig(alpha=0.2, p=5.0, pi=0.6, d_max=2)
-        lo = inner_boundary(cfg_lo, scheme="both", grid_resolution=12, refine=False)
-        hi = inner_boundary(cfg_hi, scheme="both", grid_resolution=12, refine=False)
+        lo = inner_boundary(cfg_lo, scheme="both", grid_resolution=12)
+        hi = inner_boundary(cfg_hi, scheme="both", grid_resolution=12)
         lo_map = {round(p.x, 9): p.y for p in lo}
         for p in hi:
             if round(p.x, 9) in lo_map:
@@ -285,8 +287,9 @@ def _descend_one(B0, cfg, x_target, corrected, n_line=25, sweeps=40):
 def _reference_seeds(cfg, x, grid_best, warm):
     L = cfg.d_max + 1
     seeds = []
-    b1 = _seed_b1(x, cfg)
-    if b1 is not None:
+    u0 = _u0(x, cfg)
+    if u0 is not None:
+        b1 = 1 - u0
         top = np.full(L, b1)
         top[-1] = 1.0
         seeds.append(top)
@@ -364,22 +367,26 @@ def _reference_best_slow_rate(cfg, corrected):
     return best_val, _alloc_from_cumulative(best_B)
 
 
-def _random_configs(seed, n):
+def _random_configs(seed, n, log10_p=(-1.0, 2.0), max_d=8):
     rng = np.random.default_rng(seed)
     for _ in range(n):
         yield (
             NetworkConfig(
                 alpha=float(rng.uniform(0.05, 0.95)) * (1.0 if rng.random() < 0.5 else -1.0),
-                p=float(10 ** rng.uniform(-1.0, 2.0)),
+                p=float(10 ** rng.uniform(*log10_p)),
                 pi=0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 3.0)),
-                d_max=int(rng.integers(1, 9)),
+                d_max=int(rng.integers(1, max_d + 1)),
             ),
             int(rng.integers(10, 15)),
         )
 
 
 class TestLockstepDescent:
-    """The lockstep descents reproduce the seed-by-seed search bit for bit."""
+    """The lockstep descents reproduce the seed-by-seed search bit for bit.
+
+    The search runs on both term variants here, though inner_boundary and
+    best_slow_rate_scheme2 search only the corrected ones.
+    """
 
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("scheme", ["1", "2", "both"])
@@ -387,7 +394,7 @@ class TestLockstepDescent:
         want1, want2 = scheme in ("1", "both"), scheme in ("2", "both")
         seed = {"1": 10, "2": 20, "both": 30}[scheme] + corrected
         for cfg, grid in _random_configs(seed, 4):
-            got = _best_per_bin(cfg, want1, want2, grid, corrected, refine=True)
+            got = _search_per_bin(cfg, want1, want2, grid, corrected)
             want = _reference_best_per_bin(cfg, want1, want2, grid, corrected)
             assert len(got) == len(want) > 0, cfg
             for g, w in zip(got, want):
@@ -398,7 +405,7 @@ class TestLockstepDescent:
     @pytest.mark.parametrize("corrected", [False, True])
     def test_best_slow_rate_bit_identical(self, corrected):
         for cfg, _ in _random_configs(77 + corrected, 8):
-            val, alloc = best_slow_rate_scheme2(cfg, corrected=corrected)
+            val, alloc = _search_slow_rate(cfg, corrected)
             ref_val, ref_alloc = _reference_best_slow_rate(cfg, corrected)
             assert val == ref_val, cfg
             assert alloc.fractions == ref_alloc.fractions, cfg
@@ -430,5 +437,61 @@ class TestLockstepDescent:
 
         monkeypatch.setattr(ib, "_scheme2_batch", counted)
         cfg = NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=10)
-        assert inner_boundary(cfg, scheme="2", grid_resolution=64)
+        assert _search_per_bin(cfg, False, True, 64, False)
         assert len(calls) <= 1000
+
+
+class TestClosedForm:
+    """Under the printed terms the optimum is known, and nothing is searched."""
+
+    @pytest.mark.parametrize("scheme", ["1", "2", "both"])
+    def test_matches_search(self, scheme):
+        want1, want2 = scheme in ("1", "both"), scheme in ("2", "both")
+        seed = {"1": 41, "2": 42, "both": 43}[scheme]
+        for cfg, grid in _random_configs(seed, 20, log10_p=(-2.0, 5.0), max_d=10):
+            got = _best_per_bin(cfg, want1, want2, grid, False)
+            want = _search_per_bin(cfg, want1, want2, grid, False)
+            assert len(got) == len(want) > 0, cfg
+            for g, w in zip(got, want):
+                assert g[0] == w[0], cfg
+                assert abs(g[1] - w[1]) <= 1e-12, (cfg, g, w)
+
+    def test_slow_rate_matches_search(self):
+        for cfg, _ in _random_configs(44, 20, log10_p=(-2.0, 5.0), max_d=10):
+            val, alloc = best_slow_rate_scheme2(cfg)
+            assert abs(val - _search_slow_rate(cfg, False)[0]) <= 1e-12, cfg
+            assert eval_scheme2(alloc, cfg).r_sum_cap == pytest.approx(val, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha,p,pi", [(0.2, 5.0, 2.0), (-0.7, 50.0, 0.5), (0.9, 1e4, 0.0)])
+    def test_scheme2_does_not_depend_on_dmax(self, alpha, p, pi):
+        curves = [
+            inner_boundary(NetworkConfig(alpha=alpha, p=p, pi=pi, d_max=d), scheme="2", grid_resolution=32)
+            for d in range(1, 13)
+        ]
+        for pts in curves[1:]:
+            assert len(pts) == len(curves[0])
+            for a, b in zip(pts, curves[0]):
+                assert abs(a.x - b.x) <= 1e-12 and abs(a.y - b.y) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg,scheme",
+        [(NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=10), "2"), (CFG_FIG2, "both")],
+        ids=["fig3_d10", "fig2"],
+    )
+    def test_no_search_on_printed_terms(self, monkeypatch, cfg, scheme):
+        calls = {name: 0 for name in ("_scheme2_batch", "_coordinate_descent", "_scheme2_grid", "_scheme1_table")}
+
+        def counted(name):
+            fn = getattr(ib, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ib, name, counted(name))
+        assert inner_boundary(cfg, scheme=scheme, grid_resolution=64)
+        assert calls["_scheme2_batch"] <= 2
+        assert calls["_coordinate_descent"] == calls["_scheme2_grid"] == calls["_scheme1_table"] == 0
