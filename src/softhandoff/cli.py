@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,7 @@ from .conf_sim import (
     validate_p_ladder,
 )
 from .inner_bound import inner_boundary
-from .model import ASYMPTOTIC_K, NetworkConfig, upper_chain, validate_config
+from .model import ASYMPTOTIC_K, NetworkConfig, Region, _polyline_ymax, upper_chain, validate_config
 from .mux_gain import MuxRegionSpec, mux_region
 from .outer_bound import outer_region
 from .reference_curves import KNOWN_DISCREPANCIES, get_reference, match_inner_reference
@@ -65,14 +66,13 @@ def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]],
     _write_csv(path, header, [xy[:, 0], xy[:, 1], [source] * len(xy)])
 
 
-def _write_manifest(command: str, params: dict, outputs: list[str], seed: int) -> str:
+def _write_manifest(command: str, params: dict, outputs: list[str]) -> str:
     base = outputs[0] if outputs else os.path.join(_outdir(), command)
     path = base + ".manifest.json"
     doc = {
         "command": command,
         "params": params,
         "tool_version": __version__,
-        "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "outputs": [os.path.basename(o) for o in outputs],
     }
@@ -80,18 +80,6 @@ def _write_manifest(command: str, params: dict, outputs: list[str], seed: int) -
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def _interp(pts: list[tuple[float, float]], x: float, tol: float) -> float:
-    """Piecewise-linear value at x of points sorted by x, clamped to the ends;
-    x belongs to the first segment whose right end is within tol of it."""
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x <= x1 + tol:
-            if x1 == x0:
-                return y1
-            t = min(max((x - x0) / (x1 - x0), 0.0), 1.0)
-            return y0 + t * (y1 - y0)
-    return pts[-1][1]
 
 
 def _parse_k(text: str) -> float:
@@ -107,12 +95,13 @@ def _run_region(params: dict) -> list[str]:
     kind = params["kind"]
     out = params.get("out") or os.path.join(_outdir(), f"region_{kind}.csv")
 
+    # only mux reads --mu, but every kind rejects a bad one
+    spec = MuxRegionSpec(
+        mode=params.get("mode", "rx_bidirectional"),
+        mu=params.get("mu", 0.0),
+        d_max=params.get("dmax", 1),
+    )
     if kind == "mux":
-        spec = MuxRegionSpec(
-            mode=params.get("mode", "rx_bidirectional"),
-            mu=params["mu"],
-            d_max=params["dmax"],
-        )
         _write_chain(out, ["s_fast", "s_slow", "source"], upper_chain(mux_region(spec)), spec.mode)
         return [out]
 
@@ -122,7 +111,6 @@ def _run_region(params: dict) -> list[str]:
         k=_parse_k(params.get("k", "inf")),
         pi=params.get("pi", 0.0),
         d_max=params.get("dmax", 1),
-        mu=params.get("mu", 0.0),
     )
     if kind == "outer":
         _write_chain(out, ["x_rate_bits", "y_rate_bits", "source"], upper_chain(outer_region(cfg)), "outer")
@@ -145,9 +133,9 @@ def _run_region(params: dict) -> list[str]:
         ]
         if ref_label:
             header.append("reference")
-            ref = get_reference(ref_label)
-            lo, hi = ref[0][0] - 1e-12, ref[-1][0] + 1e-12
-            columns.append([_fmt(_interp(ref, pt.x, 1e-12)) if lo <= pt.x <= hi else "" for pt in pts])
+            ref = Region(vertices=get_reference(ref_label), kind="polyline")
+            ref_ys = [_polyline_ymax(ref, pt.x) for pt in pts]  # nan outside the reference's x range
+            columns.append(["" if math.isnan(y) else _fmt(y) for y in ref_ys])
         _write_csv(out, header, columns)
         return [out]
 
@@ -219,14 +207,14 @@ def _run_compare(params: dict, stream) -> list[str]:
     if lo > hi + 1e-12:
         raise ValueError("x ranges of reference and computed curve do not overlap")
 
-    pts = sorted(zip(xs, ys))
+    computed = Region(vertices=tuple(sorted(zip(xs, ys))), kind="polyline")
     print(f"comparison against {label} on x in [{_fmt(lo)}, {_fmt(hi)}]", file=stream)
     print("x,y_reference,y_computed,dy", file=stream)
     worst = (0.0, 0.0)
     for rx, ry in ref:
         if rx < lo - 1e-12 or rx > hi + 1e-12:
             continue
-        cy = _interp(pts, rx, 1e-15)
+        cy = _polyline_ymax(computed, rx)
         dy = cy - ry
         if abs(dy) > abs(worst[1]):
             worst = (rx, dy)
@@ -241,7 +229,7 @@ def _run_compare(params: dict, stream) -> list[str]:
     return []
 
 
-def _dispatch(command: str, params: dict, seed: int, stream) -> int:
+def _dispatch(command: str, params: dict, stream) -> int:
     if command == "region":
         outs = _run_region(params)
     elif command == "simulate":
@@ -251,7 +239,7 @@ def _dispatch(command: str, params: dict, seed: int, stream) -> int:
         return 0
     else:
         raise ValueError(f"unknown command {command!r}")
-    _write_manifest(command, params, outs, seed)
+    _write_manifest(command, params, outs)
     for o in outs:
         print(o, file=stream)
     return 0
@@ -278,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
     reg.add_argument("--scheme", default="both", choices=["1", "2", "both"])
     reg.add_argument("--grid", type=int, default=64)
     reg.add_argument("--corrected", action="store_true")
-    reg.add_argument("--seed", type=int, default=0)
     reg.add_argument("--out")
 
     sim = sub.add_parser("simulate", help="run a silencing conferencing scheme")
@@ -288,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
     sim.add_argument("--alpha", type=float, default=0.5)
     sim.add_argument("--pi", type=float, default=0.0)
     sim.add_argument("--p-ladder", dest="p_ladder", default="1e2,1e4,1e6")
-    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out")
 
     cmp_ = sub.add_parser("compare", help="compare a computed CSV against a reference curve")
@@ -307,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
             params = dict(doc["params"])
             if args.out:
                 params["out"] = args.out
-            return _dispatch(doc["command"], params, doc.get("seed", 0), sys.stdout)
+            return _dispatch(doc["command"], params, sys.stdout)
 
         if args.command == "region":
             params = {
@@ -316,16 +302,16 @@ def main(argv: list[str] | None = None) -> int:
                 "scheme": args.scheme, "grid": args.grid, "corrected": args.corrected,
                 "out": args.out,
             }
-            return _dispatch("region", params, args.seed, sys.stdout)
+            return _dispatch("region", params, sys.stdout)
         if args.command == "simulate":
             params = {
                 "mode": args.mode, "k": args.k, "dmax": args.dmax, "alpha": args.alpha,
                 "pi": args.pi, "p_ladder": [float(v) for v in str(args.p_ladder).split(",")],
                 "out": args.out,
             }
-            return _dispatch("simulate", params, args.seed, sys.stdout)
+            return _dispatch("simulate", params, sys.stdout)
         if args.command == "compare":
-            return _dispatch("compare", {"label": args.label, "csv": args.csv}, 0, sys.stdout)
+            return _dispatch("compare", {"label": args.label, "csv": args.csv}, sys.stdout)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -52,6 +52,10 @@ __all__ = [
 
 _EPS = 1e-12
 
+#: Largest grid_resolution a sweep accepts: the printed path evaluates every
+#: bin in one kernel call, about 2 KB per bin at d_max = 16.
+_MAX_GRID = 100_000
+
 
 @dataclass(frozen=True)
 class SchemeOneEvaluation:
@@ -465,6 +469,8 @@ def inner_boundary(
         raise ValueError("scheme must be 1, 2, or both")
     if grid_resolution < 10:
         raise ValueError("grid_resolution must be at least 10")
+    if grid_resolution > _MAX_GRID:
+        raise ValueError(f"grid_resolution must be at most {_MAX_GRID}")
     raw = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
     if not raw:
         return []

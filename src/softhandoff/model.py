@@ -2,7 +2,10 @@
 
 Everything downstream (bounds, multiplexing-gain polygons, simulators) shares
 the types in this module.  All rates are in bits per channel use; every log
-is base 2.  Regions live in the first quadrant and contain the origin.
+is base 2.  Regions live in the first quadrant and contain the origin.  The
+capacity outer bound and the multiplexing-gain polygons are both the first
+quadrant cut by x + y <= s and 2x + y <= w, built in closed form by
+_two_cut_polygon; _polyline_ymax is the one piecewise-linear interpolator.
 """
 from __future__ import annotations
 
@@ -14,10 +17,8 @@ __all__ = [
     "NetworkConfig",
     "RatePair",
     "MuxPair",
-    "HalfPlane",
     "Region",
     "validate_config",
-    "region_from_halfplanes",
     "region_contains",
     "boundary_slopes",
     "upper_chain",
@@ -29,11 +30,6 @@ ASYMPTOTIC_K = math.inf
 #: Absolute tolerance for merging polygon vertices.  All vertices in scope are
 #: rationals or logs of rationals, so double precision leaves lots of margin.
 VERTEX_TOL = 1e-12
-
-#: Feasibility slack when filtering candidate vertices of a half-plane
-#: intersection (looser than VERTEX_TOL on purpose: intersections of nearly
-#: parallel lines amplify rounding).
-_FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,9 @@ class NetworkConfig:
     k : user count, integer >= 2 or ASYMPTOTIC_K.
     pi : conferencing rate budget per link direction, bits/channel use, >= 0.
     d_max : maximum number of conferencing rounds, >= 1.
-    mu : conferencing prelog (pi = mu * 0.5*log2 P in the high-power regime).
+
+    The conferencing prelog mu of the high-power regime is not a field here:
+    only the multiplexing-gain polygons read it (mux_gain.MuxRegionSpec).
     """
 
     alpha: float
@@ -55,7 +53,6 @@ class NetworkConfig:
     k: float = ASYMPTOTIC_K
     pi: float = 0.0
     d_max: int = 1
-    mu: float = 0.0
 
 
 def validate_config(cfg: NetworkConfig) -> NetworkConfig:
@@ -63,7 +60,7 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
 
     Raises ValueError naming the violated field otherwise.
     """
-    for name in ("alpha", "p", "pi", "mu"):
+    for name in ("alpha", "p", "pi"):
         if not math.isfinite(getattr(cfg, name)):
             raise ValueError(f"{name} must be finite")
     if cfg.alpha == 0:
@@ -76,8 +73,6 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
         raise ValueError("pi must be nonnegative")
     if cfg.d_max < 1:
         raise ValueError("d_max must be at least 1")
-    if cfg.mu < 0:
-        raise ValueError("mu must be nonnegative")
     if cfg.k != ASYMPTOTIC_K:
         if cfg.k != int(cfg.k):
             raise ValueError("k must be an integer or ASYMPTOTIC_K")
@@ -113,19 +108,6 @@ class MuxPair:
 
 
 @dataclass(frozen=True)
-class HalfPlane:
-    """Constraint a*x + b*y <= c."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.a == 0 and self.b == 0:
-            raise ValueError("half-plane normal must be nonzero")
-
-
-@dataclass(frozen=True)
 class Region:
     """A 2-D rate or prelog region.
 
@@ -133,7 +115,8 @@ class Region:
     at the lexicographically smallest vertex (the origin for the regions in
     scope).  kind "polyline": the upper-right boundary of a swept region,
     x strictly increasing and y nonincreasing; the region is everything in the
-    first quadrant on or below the polyline.
+    first quadrant on or below the polyline.  A degenerate polygon is the
+    single point of its one vertex.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -145,92 +128,22 @@ class Region:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
 
-def _dedupe(points: list[tuple[float, float]], tol: float) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for p in points:
-        if not any(abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol for q in out):
-            out.append(p)
-    return out
+def _two_cut_polygon(s, w) -> Region:
+    """The first quadrant cut by x + y <= s and 2x + y <= w, counterclockwise
+    from the origin, as floats.
 
-
-def _convex_hull_ccw(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Monotone-chain hull, counterclockwise, collinear points dropped."""
-    pts = sorted(points)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= VERTEX_TOL:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= VERTEX_TOL:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def region_from_halfplanes(planes: list[HalfPlane]) -> Region:
-    """Intersect half-planes (plus the implicit first quadrant) into a polygon.
-
-    Vertices come back counterclockwise starting at the lexicographically
-    smallest vertex; collinear vertices are merged.  An empty-interior
-    intersection degenerates to a point or segment with the degenerate flag
-    set; an unbounded intersection raises ValueError.
+    w >= 2s gives the sum-only triangle, w <= s the weighted-only one, and
+    in between the cuts cross at the vertex (w - s, 2s - w); a crossing
+    within VERTEX_TOL of an axis merges into the intercept there.  Only +,
+    -, * and / touch s and w, so Fractions give exact vertices.  A cap at or
+    below VERTEX_TOL leaves the origin alone (degenerate).
     """
-    cons: list[tuple[float, float, float]] = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
-    cons += [(hp.a, hp.b, hp.c) for hp in planes]
-
-    # Unboundedness: a nonzero recession direction d with A d <= 0.  Because
-    # the axes constraints are present the cone is pointed, so every extreme
-    # ray lies on some constraint boundary; checking those plus the axes is
-    # exhaustive in 2-D.
-    candidates = [(1.0, 0.0), (0.0, 1.0)]
-    for a, b, _ in cons:
-        n = math.hypot(a, b)
-        candidates += [(-b / n, a / n), (b / n, -a / n)]
-    for dx, dy in candidates:
-        if dx < -1e-15 or dy < -1e-15:
-            continue
-        if max(abs(dx), abs(dy)) < 1e-15:
-            continue
-        if all(a * dx + b * dy <= 1e-12 for a, b, _ in cons):
-            raise ValueError("half-plane intersection is unbounded")
-
-    # Candidate vertices: all pairwise boundary intersections.
-    verts: list[tuple[float, float]] = []
-    scale = max(1.0, max(abs(c) for _, _, c in cons))
-    for i in range(len(cons)):
-        a1, b1, c1 = cons[i]
-        for j in range(i + 1, len(cons)):
-            a2, b2, c2 = cons[j]
-            det = a1 * b2 - a2 * b1
-            if abs(det) < 1e-14:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if all(a * x + b * y <= c + _FEAS_TOL * scale for a, b, c in cons):
-                verts.append((x, y))
-
-    verts = _dedupe(verts, VERTEX_TOL)
-    if not verts:
-        raise ValueError("half-plane intersection is empty")
-    if len(verts) == 1:
-        return Region(vertices=(verts[0],), degenerate=True)
-    if len(verts) == 2:
-        return Region(vertices=tuple(sorted(verts)), degenerate=True)
-
-    hull = _convex_hull_ccw(verts)
-    if len(hull) < 3:
-        return Region(vertices=tuple(sorted(hull)), degenerate=True)
-    start = hull.index(min(hull))
-    hull = hull[start:] + hull[:start]
-    # Snap coordinate dust onto the axes so downstream intercept lookups are exact.
-    hull = [(0.0 if abs(x) <= VERTEX_TOL else x, 0.0 if abs(y) <= VERTEX_TOL else y) for x, y in hull]
-    return Region(vertices=tuple(hull))
+    if min(s, w) <= VERTEX_TOL:
+        return Region(vertices=((0.0, 0.0),), degenerate=True)
+    corner = (w - s, 2 * s - w)
+    inner = (corner,) if min(corner) > VERTEX_TOL else ()
+    verts = ((0, 0), (min(s, w / 2), 0), *inner, (0, min(s, w)))
+    return Region(vertices=tuple((float(x), float(y)) for x, y in verts))
 
 
 def _polyline_ymax(region: Region, x: float) -> float:
@@ -252,8 +165,6 @@ def region_contains(region: Region, point: tuple[float, float], tol: float = 0.0
     x, y = point
     v = region.vertices
     if region.kind == "polyline":
-        if len(v) == 1:
-            v = (v[0], v[0])
         if x < -tol or y < -tol:
             return False
         if x > v[-1][0] + tol:
@@ -262,13 +173,7 @@ def region_contains(region: Region, point: tuple[float, float], tol: float = 0.0
         return y <= ymax + tol
 
     if region.degenerate:
-        if len(v) == 1:
-            return math.hypot(x - v[0][0], y - v[0][1]) <= tol
-        (x0, y0), (x1, y1) = v[0], v[-1]
-        dx, dy = x1 - x0, y1 - y0
-        L2 = dx * dx + dy * dy
-        t = 0.0 if L2 == 0 else min(max(((x - x0) * dx + (y - y0) * dy) / L2, 0.0), 1.0)
-        return math.hypot(x - (x0 + t * dx), y - (y0 + t * dy)) <= tol
+        return math.hypot(x - v[0][0], y - v[0][1]) <= tol
 
     for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]):
         ex, ey = x1 - x0, y1 - y0

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import MuxPair, Region
+from .model import MuxPair, Region, _two_cut_polygon
 
 __all__ = ["MuxRegionSpec", "mux_region", "corner_points", "timeshare_point", "mu_max"]
 
@@ -53,18 +53,7 @@ def _sum_cap(spec: MuxRegionSpec) -> Fraction:
 
 def mux_region(spec: MuxRegionSpec) -> Region:
     """The polygon {2x + y <= 1, x + y <= sum cap} in the first quadrant."""
-    c = _sum_cap(spec)
-    half = Fraction(1, 2)
-    if c <= half:
-        verts = [(0, 0), (c, Fraction(0)), (Fraction(0), c)]
-    else:
-        verts = [
-            (0, 0),
-            (half, Fraction(0)),
-            (1 - c, 2 * c - 1),
-            (Fraction(0), c),
-        ]
-    return Region(vertices=tuple((float(x), float(y)) for x, y in verts))
+    return _two_cut_polygon(_sum_cap(spec), Fraction(1))
 
 
 def mu_max(d_max: int) -> float:
@@ -76,7 +65,7 @@ def corner_points(d_max: int, mu: float) -> list[MuxPair]:
     """The three achievable corner points behind the region's time-sharing proof:
     fast-only, slow-only, and the silencing-schedule point."""
     d = d_max
-    slow_only = min(Fraction(1, 2) + Fraction(mu), Fraction(2 * d + 1, 2 * d + 2))
+    slow_only = _sum_cap(MuxRegionSpec("rx_bidirectional", mu, d))
     return [
         MuxPair(0.5, 0.0),
         MuxPair(0.0, float(slow_only)),

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 from .model import (
     ASYMPTOTIC_K,
-    HalfPlane,
     NetworkConfig,
     Region,
-    region_from_halfplanes,
+    _two_cut_polygon,
     validate_config,
 )
 
@@ -61,9 +60,4 @@ def outer_constraints(cfg: NetworkConfig) -> OuterBoundValues:
 def outer_region(cfg: NetworkConfig) -> Region:
     """Polygon: first quadrant cut by the sum and weighted half-planes."""
     vals = outer_constraints(cfg)
-    return region_from_halfplanes(
-        [
-            HalfPlane(1.0, 1.0, vals.sum_cap),
-            HalfPlane(2.0, 1.0, vals.weighted_cap),
-        ]
-    )
+    return _two_cut_polygon(vals.sum_cap, vals.weighted_cap)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from softhandoff import cli, conf_sim
+from softhandoff import cli, conf_sim, inner_bound
 from softhandoff.cli import main
 
 
@@ -81,6 +81,18 @@ class TestRegionCommand:
         code, _, err = run_cli(["region", "outer", "--k", value, "--out", str(out)], capsys)
         assert code == 2
         assert "k must be an integer or inf" in err
+        assert not out.exists()
+
+    def test_grid_above_cap_exits_2_before_sweeping(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("swept before validating the grid")
+
+        for name in ("_best_per_bin", "_scheme2_batch"):
+            monkeypatch.setattr(inner_bound, name, refuse)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["region", "inner", "--grid", "10000000", "--out", str(out)], capsys)
+        assert code == 2
+        assert "grid_resolution must be at most 100000" in err
         assert not out.exists()
 
 
@@ -176,6 +188,19 @@ class TestManifestRoundTrip:
         code, _, _ = run_cli(
             ["rerun", str(tmp_path / "mux.csv.manifest.json"), "--out", str(redo)], capsys
         )
+        assert code == 0
+        assert redo.read_bytes() == out.read_bytes()
+
+    def test_rerun_ignores_a_recorded_seed(self, tmp_path, capsys):
+        # manifests used to carry a "seed" key that nothing read
+        out = tmp_path / "outer.csv"
+        run_cli(["region", "outer", "--k", "3", "--pi", "0.5", "--out", str(out)], capsys)
+        path = tmp_path / "outer.csv.manifest.json"
+        doc = json.loads(path.read_text())
+        assert "seed" not in doc
+        path.write_text(json.dumps({**doc, "seed": 0}, indent=2, sort_keys=True) + "\n")
+        redo = tmp_path / "redone.csv"
+        code, _, _ = run_cli(["rerun", str(path), "--out", str(redo)], capsys)
         assert code == 0
         assert redo.read_bytes() == out.read_bytes()
 
