@@ -17,7 +17,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .conf_sim import (
+from .conf_sim import (  # noqa: F401 - perfbench's tracer wraps measure_mux_gains and run_* here
+    _convergence,
+    _layout,
+    _report,
     build_silencing,
     event_log_rows,
     measure_mux_gains,
@@ -32,6 +35,9 @@ from .outer_bound import outer_region
 from .reference_curves import KNOWN_DISCREPANCIES, get_reference, match_inner_reference
 
 _ENV_OUTDIR = "SOFTHANDOFF_OUTDIR"
+# manifest params a command needs; every manifest the CLI writes holds them
+_REQUIRED = {"region": ("kind", "alpha", "p"), "simulate": ("mode", "k", "dmax", "alpha", "p_ladder"),
+             "compare": ("label", "csv")}
 
 
 def _fmt(v: float) -> str:
@@ -43,27 +49,45 @@ def _outdir() -> str:
     return os.environ.get(_ENV_OUTDIR, ".")
 
 
-def _cells(col) -> list[str]:
-    """Text of one CSV column: floats through _fmt and integers through str,
-    once per distinct value; anything else through str."""
-    col = np.asarray(col)
-    if col.dtype.kind not in "fiu":
-        return [str(v) for v in col.tolist()]
-    values, inverse = np.unique(col, return_inverse=True)
-    fmt = _fmt if col.dtype.kind == "f" else str
-    return np.array([fmt(v) for v in values.tolist()], dtype=object)[inverse].tolist()
+def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
+    """Write each (path, header, equal-length columns) as a CSV, one row per line.
 
-
-def _write_csv(path: str, header: list[str], columns: list) -> None:
-    """Write equal-length columns under a header, one row per line."""
-    lines = map(",".join, zip(*map(_cells, columns)))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([",".join(header), *lines]) + "\n")
+    Integer cells index one table of str(i) over the files' integer range (their
+    distinct integers if the range is wider than their count of integer cells),
+    whose last entry "" serves masked cells; floats go through _fmt once per
+    distinct value; strings are written as they are.  Rows go out in blocks,
+    so no file's whole text is held as one string.
+    """
+    files = [(path, header, [np.asanyarray(c) for c in columns]) for path, header, columns in files]
+    ints = [c for _, _, cols in files for c in cols if c.dtype.kind in "iu"]
+    spans = [(int(v.min()), int(v.max()), v.size) for v in map(np.ma.compressed, ints) if v.size]
+    lo, hi = min((s[0] for s in spans), default=0), max((s[1] for s in spans), default=-1)
+    dense = hi - lo < sum(s[2] for s in spans)
+    keys = np.arange(lo, hi + 1) if dense else np.unique(np.concatenate([np.ma.compressed(c) for c in ints]))
+    table = np.array([*map(str, keys.tolist()), ""], dtype=object)
+    for path, header, cols in files:
+        text = []
+        for col in cols:
+            if col.dtype.kind in "iu":
+                values = np.ma.getdata(col)
+                at = values - lo if dense else np.searchsorted(keys, values)
+                text.append(table[np.where(np.ma.getmaskarray(col), len(keys), at)].tolist())
+            elif col.dtype.kind == "f":
+                values, inverse = np.unique(col, return_inverse=True)
+                text.append(np.array([_fmt(v) for v in values.tolist()], dtype=object)[inverse].tolist())
+            else:
+                text.append(col.tolist())
+        rows = list(map(",".join, zip(*text)))
+        del text
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for i in range(0, len(rows), 8192):
+                fh.write("\n".join(rows[i:i + 8192]) + "\n")
 
 
 def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]], source: str) -> None:
     xy = np.array(chain, dtype=float).reshape(-1, 2)
-    _write_csv(path, header, [xy[:, 0], xy[:, 1], [source] * len(xy)])
+    _write_csvs([(path, header, [xy[:, 0], xy[:, 1], [source] * len(xy)])])
 
 
 def _write_manifest(command: str, params: dict, outputs: list[str]) -> str:
@@ -87,8 +111,15 @@ def _parse_k(text: str) -> float:
         return ASYMPTOTIC_K
     try:
         return int(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError(f"k must be an integer or inf, got {text!r}") from None
+
+
+def _parse_ladder(values: list) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ValueError(f"p_ladder must be a list of numbers, got {values!r}") from None
 
 
 def _run_region(params: dict) -> list[str]:
@@ -136,7 +167,7 @@ def _run_region(params: dict) -> list[str]:
             ref = Region(vertices=get_reference(ref_label), kind="polyline")
             ref_ys = [_polyline_ymax(ref, pt.x) for pt in pts]  # nan outside the reference's x range
             columns.append(["" if math.isnan(y) else _fmt(y) for y in ref_ys])
-        _write_csv(out, header, columns)
+        _write_csvs([(out, header, columns)])
         return [out]
 
     raise ValueError(f"unknown region kind {kind!r}")
@@ -146,9 +177,10 @@ def _run_simulate(params: dict) -> list[str]:
     mode = params["mode"]
     if mode not in ("rx", "tx"):
         raise ValueError("mode must be rx or tx")
-    k = int(params["k"])
-    d_max = int(params["dmax"])
-    ladder = [float(v) for v in params["p_ladder"]]
+    k, d_max = params["k"], params["dmax"]
+    if type(k) is not int or type(d_max) is not int:
+        raise ValueError(f"k and dmax must be integers, got {k!r} and {d_max!r}")
+    ladder = _parse_ladder(params["p_ladder"])
     validate_p_ladder(ladder)
     cfg = NetworkConfig(
         alpha=params["alpha"],
@@ -159,31 +191,22 @@ def _run_simulate(params: dict) -> list[str]:
     )
     validate_config(cfg)
     pattern = build_silencing(k, d_max)
-    run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
-    report = run(cfg, pattern)
-    est, rows = measure_mux_gains(cfg, pattern, ladder, mode=mode, top_report=report)
+    layout = _layout(pattern, mode)  # serves the top report and every lower ladder power
+    report = _report(layout, cfg)
+    _, rows = _convergence(layout, cfg, ladder, top_report=report)
 
     prefix = params.get("out") or os.path.join(_outdir(), f"simulate_{mode}")
 
-    rates_path = prefix + "_rates.csv"
-    users = report.per_user
-    _write_csv(
-        rates_path,
-        ["user", "kind", "rate_bits", "decode_round"],
-        [users.cols[name] for name in ("user", "kind", "rate", "decode_round")],
-    )
-
-    events = event_log_rows(report, pattern)
-    events_path = prefix + "_events.csv"
-    _write_csv(events_path, list(events.cols), list(events.cols.values()))
-
-    conv_path = prefix + "_convergence.csv"
-    _write_csv(
-        conv_path,
-        ["p", "s_fast_est", "s_slow_est", "avg_link_prelog", "max_link_prelog"],
-        list(np.array([[r.p, r.s_fast_est, r.s_slow_est, r.avg_link_prelog, r.max_link_prelog]
-                       for r in rows], dtype=float).T),
-    )
+    rates_path, events_path, conv_path = (prefix + f"_{name}.csv" for name in ("rates", "events", "convergence"))
+    users, events = report.per_user.cols, event_log_rows(report, pattern).cols
+    _write_csvs([
+        (rates_path, ["user", "kind", "rate_bits", "decode_round"],
+         [users[name] for name in ("user", "kind", "rate", "decode_round")]),
+        (events_path, list(events), list(events.values())),
+        (conv_path, ["p", "s_fast_est", "s_slow_est", "avg_link_prelog", "max_link_prelog"],
+         list(np.array([[r.p, r.s_fast_est, r.s_slow_est, r.avg_link_prelog, r.max_link_prelog]
+                        for r in rows], dtype=float).T)),
+    ])
     return [rates_path, events_path, conv_path]
 
 
@@ -290,6 +313,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rerun":
             with open(args.manifest) as fh:
                 doc = json.load(fh)
+            if not (isinstance(doc, dict) and isinstance(doc.get("command"), str)
+                    and isinstance(doc.get("params"), dict)):
+                raise ValueError("manifest must be a JSON object with a command string and a params object")
+            missing = [key for key in _REQUIRED.get(doc["command"], ()) if key not in doc["params"]]
+            if missing:
+                raise ValueError(f"manifest params lack {', '.join(missing)}")
             params = dict(doc["params"])
             if args.out:
                 params["out"] = args.out
@@ -306,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             params = {
                 "mode": args.mode, "k": args.k, "dmax": args.dmax, "alpha": args.alpha,
-                "pi": args.pi, "p_ladder": [float(v) for v in str(args.p_ladder).split(",")],
+                "pi": args.pi, "p_ladder": _parse_ladder(str(args.p_ladder).split(",")),
                 "out": args.out,
             }
             return _dispatch("simulate", params, sys.stdout)

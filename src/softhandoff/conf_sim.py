@@ -31,8 +31,8 @@ pattern has at most three such shapes: a leading partial subnet (nonzero
 offset), the full subnets and a trailing partial one.  Each shape is built
 once as a small integer template, one row per user (cell, kind, rate slot,
 round) and per message (round, from, to, rate slot, subject) with cells
-counted from the subnet's first, and tiled over its subnets with numpy; the
-rates of one power enter only through a 3- or 4-entry slot lookup.  A
+counted from the subnet's first, and tiled over its subnets with numpy into
+a layout; each power of a ladder is a 3- or 4-entry slot lookup on it.  A
 RateReport keeps the result as Columns: per-user and per-message records are
 built only when indexed or iterated, and the averages, link loads and event
 log are computed on the columns, every sum added left to right in log order.
@@ -40,7 +40,7 @@ log are computed on the columns, every sum added left to right in log order.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -66,7 +66,9 @@ __all__ = [
 ]
 
 _USER_KINDS = np.array(["fast", "slow", "silenced", "relay"], dtype=object)
+_EVENT_KINDS = np.array(["conference", "decode"], dtype=object)
 _FAST, _SLOW, _SILENCED, _RELAY = range(4)
+_MAX_K = 200_000  # a run holds about 1 KB per cell: this caps one near 200 MB
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,13 @@ class UserRate:
     decode_round: int
 
 
-def _py(v):
-    return v.item() if isinstance(v, np.generic) else v
+def _values(col: np.ndarray) -> list:
+    """The cells of a column as Python scalars; a masked (np.ma) cell reads as ""."""
+    if not np.ma.is_masked(col):
+        return col.tolist()
+    cells = np.ma.getdata(col).astype(object)
+    cells[np.ma.getmaskarray(col)] = ""
+    return cells.tolist()
 
 
 class Columns(Sequence):
@@ -117,6 +124,7 @@ class Columns(Sequence):
 
     ``len`` is free; records are built only when indexed or iterated, from
     Python scalars, so they compare and print like records built one by one.
+    A column may be a masked array, whose masked cells read as "".
     """
 
     def __init__(self, record, cols: dict[str, np.ndarray]):
@@ -135,10 +143,10 @@ class Columns(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        return self.record(*(_py(c[i]) for c in self.cols.values()))
+        return self.record(*(_values(c[[i]])[0] for c in self.cols.values()))
 
     def __iter__(self):
-        return map(self.record, *(c.tolist() for c in self.cols.values()))
+        return map(self.record, *map(_values, self.cols.values()))
 
     def __eq__(self, other):
         if isinstance(other, Columns):
@@ -176,10 +184,12 @@ def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
 
     A trailing partial subnet silences its last transmitter as well, which
     preserves the isolation invariant at a vanishing rate cost.  Requires
-    d_max >= 1 and k >= 2*d_max+2.
+    d_max >= 1 and 2*d_max+2 <= k <= _MAX_K.
     """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
+    if k > _MAX_K:
+        raise ValueError(f"k must be at most {_MAX_K}")
     period = 2 * d_max + 2
     if k < period:
         raise ValueError(f"K too small: need at least {period} cells for d_max={d_max}")
@@ -246,8 +256,42 @@ def _running_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
-def _simulate(pattern: SilencingPattern, template, rates: tuple[float, ...], payload_kind: str) -> RateReport:
-    """Tile each subnet shape's template over its subnets and look the rates up."""
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """What a mode's run on a pattern is at every power: user rows (cell, kind, rate slot,
+    round) in cell order, message rows (round, from, to, rate slot, subject) subnet by
+    subnet, each message's link direction, and the mode's rate-slot table and payload kind."""
+
+    k: int
+    rates: Callable[[NetworkConfig], tuple[float, ...]]
+    payload_kind: str
+    users: np.ndarray
+    msgs: np.ndarray
+    direction: np.ndarray
+
+
+def _rx_rates(cfg: NetworkConfig) -> tuple[float, ...]:
+    p, a = cfg.p, cfg.alpha
+    r_fwd = 0.5 * math.log2(1 + p)
+    r_bwd = 0.5 * math.log2(1 + a * a * p)
+    return r_fwd, r_bwd, 0.0
+
+
+def _tx_rates(cfg: NetworkConfig) -> tuple[float, ...]:
+    p, a2 = cfg.p, cfg.alpha * cfg.alpha
+    q_rate = 0.5 * math.log2(1 + p)
+    d_q = p * 2.0 ** (-2 * q_rate)          # = p / (1 + p), Gaussian quantiser
+    r_dpc = 0.5 * math.log2(1 + p / (1 + a2 * d_q))
+    r_bwd = 0.5 * math.log2(1 + a2 * p / (1 + a2 * d_q))
+    return q_rate, r_dpc, r_bwd, 0.0
+
+
+def _layout(pattern: SilencingPattern, mode: str) -> _Layout:
+    """Tile each subnet shape's template of a mode ("rx" or "tx") over its subnets."""
+    if mode not in ("rx", "tx"):
+        raise ValueError(f"mode must be 'rx' or 'tx', got {mode!r}")
+    template, rates, payload_kind = ((_rx_template, _rx_rates, "decoded_message_estimate") if mode == "rx"
+                                     else (_tx_template, _tx_rates, "quantization_index"))
     firsts = np.array([s.first for s in pattern.subnets], dtype=np.int64)
     sizes = np.array([s.active_count for s in pattern.subnets])
     users, msgs, msg_subnet = [], [], []
@@ -257,32 +301,33 @@ def _simulate(pattern: SilencingPattern, template, rates: tuple[float, ...], pay
         users.append(_tiled(u_rows, 4, [0], firsts[idx]))
         msgs.append(_tiled(m_rows, 5, [1, 2, 4], firsts[idx]))
         msg_subnet.append(np.repeat(idx, len(m_rows)))
-    # users in cell order; messages subnet by subnet, each in template order
     u = np.concatenate(users)
-    user, kind, slot, rnd = np.ascontiguousarray(u[np.argsort(u[:, 0], kind="stable")].T)
     mm = np.concatenate(msgs)
-    m_rnd, frm, to, m_slot, subject = np.ascontiguousarray(
-        mm[np.argsort(np.concatenate(msg_subnet), kind="stable")].T
-    )
-    table = np.array(rates)
+    users = np.ascontiguousarray(u[np.argsort(u[:, 0], kind="stable")].T)
+    msgs = np.ascontiguousarray(mm[np.argsort(np.concatenate(msg_subnet), kind="stable")].T)
+    return _Layout(pattern.k, rates, payload_kind, users, msgs, _directions(msgs[1], msgs[2]))
+
+
+def _report(layout: _Layout, cfg: NetworkConfig) -> RateReport:
+    """The rate report of a layout at cfg: the rates enter through a slot table lookup."""
+    table = np.array(layout.rates(cfg))
+    user, kind, slot, rnd = layout.users
+    m_rnd, frm, to, m_slot, subject = layout.msgs
     rate = table[slot]
+    avg_fast = _running_sum(rate[kind == _FAST]) / layout.k
+    avg_slow = _running_sum(rate[kind == _SLOW]) / layout.k
     per_user = Columns(UserRate, {"user": user, "kind": _USER_KINDS[kind], "rate": rate, "decode_round": rnd})
     conf_log = Columns(ConferenceMessage, {
         "round": m_rnd, "from_node": frm, "to_node": to, "payload_rate": table[m_slot],
-        "payload_kind": np.full(len(m_rnd), payload_kind, dtype=object), "subject": subject,
+        "payload_kind": np.array([layout.payload_kind], dtype=object).repeat(len(m_rnd)), "subject": subject,
     })
-    avg_fast = _running_sum(rate[kind == _FAST]) / pattern.k
-    avg_slow = _running_sum(rate[kind == _SLOW]) / pattern.k
     return RateReport(per_user, avg_fast, avg_slow, conf_log)
 
 
 def run_rx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateReport:
     """Analytic rate report of the receiver-conferencing silencing scheme."""
     validate_config(cfg)
-    p, a = cfg.p, cfg.alpha
-    r_fwd = 0.5 * math.log2(1 + p)
-    r_bwd = 0.5 * math.log2(1 + a * a * p)
-    return _simulate(pattern, _rx_template, (r_fwd, r_bwd, 0.0), "decoded_message_estimate")
+    return _report(_layout(pattern, "rx"), cfg)
 
 
 def run_tx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateReport:
@@ -293,23 +338,17 @@ def run_tx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateRe
     alpha^2 * d_q to the noise floor of the affected decodes.
     """
     validate_config(cfg)
-    p, a2 = cfg.p, cfg.alpha * cfg.alpha
-    q_rate = 0.5 * math.log2(1 + p)
-    d_q = p * 2.0 ** (-2 * q_rate)          # = p / (1 + p), Gaussian quantiser
-    r_dpc = 0.5 * math.log2(1 + p / (1 + a2 * d_q))
-    r_bwd = 0.5 * math.log2(1 + a2 * p / (1 + a2 * d_q))
-    return _simulate(pattern, _tx_template, (q_rate, r_dpc, r_bwd, 0.0), "quantization_index")
+    return _report(_layout(pattern, "tx"), cfg)
 
 
-def _simulator(mode: str):
-    """The simulator of a conferencing mode: "rx" or "tx", anything else is an error."""
-    if mode not in ("rx", "tx"):
-        raise ValueError(f"mode must be 'rx' or 'tx', got {mode!r}")
-    return run_rx_conferencing if mode == "rx" else run_tx_conferencing
+def _directions(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """Index of each message's link direction (from, to) among the distinct ones."""
+    lo = min(frm.min(initial=0), to.min(initial=0))  # any lower bound keeps the key order
+    span = max(frm.max(initial=0), to.max(initial=0)) - lo + 1
+    return np.unique((frm - lo) * span + (to - lo), return_inverse=True)[1]
 
 
-def _link_loads(frm: np.ndarray, to: np.ndarray, payload: np.ndarray, k: int,
-                half_log_p: float) -> tuple[float, float]:
+def _link_loads(direction: np.ndarray, payload: np.ndarray, k: int, half_log_p: float) -> tuple[float, float]:
     """(per-link-direction max, average) prelog of a log of messages.
 
     Payload is summed per direction and in total in log order, then divided
@@ -317,9 +356,6 @@ def _link_loads(frm: np.ndarray, to: np.ndarray, payload: np.ndarray, k: int,
     """
     top = total = 0.0
     if len(payload):
-        lo = min(frm.min(), to.min())
-        span = max(frm.max(), to.max()) - lo + 1
-        _, direction = np.unique((frm - lo) * span + (to - lo), return_inverse=True)
         per_dir = np.zeros(direction.max() + 1)
         np.add.at(per_dir, direction, payload)  # unbuffered, in log order
         top, total = float(per_dir.max()), _running_sum(payload)
@@ -334,7 +370,7 @@ def conferencing_load(report: RateReport, p: float) -> tuple[float, float]:
     total payload over all messages by (links * 2 directions).
     """
     log = report.conf_log.cols
-    return _link_loads(log["from_node"], log["to_node"], log["payload_rate"],
+    return _link_loads(_directions(log["from_node"], log["to_node"]), log["payload_rate"],
                        len(report.per_user), 0.5 * math.log2(p))
 
 
@@ -346,14 +382,15 @@ def phase_rotated_load(cfg: NetworkConfig, k: int, d_max: int, mode: str = "rx")
     prelog.  The first few links keep a surplus (every leading partial subnet
     starts at cell 1), an edge artifact that dilutes as k grows.
     """
+    validate_config(cfg)
     period = 2 * d_max + 2
-    run = _simulator(mode)
-    logs = [run(cfg, build_silencing(k, d_max, offset=off)).conf_log.cols for off in range(period)]
+    logs = [_report(_layout(build_silencing(k, d_max, offset=off), mode), cfg).conf_log.cols
+            for off in range(period)]
 
     def joined(name: str) -> np.ndarray:
         return np.concatenate([log[name] for log in logs])
 
-    return _link_loads(joined("from_node"), joined("to_node"), joined("payload_rate") / period,
+    return _link_loads(_directions(joined("from_node"), joined("to_node")), joined("payload_rate") / period,
                        k, 0.5 * math.log2(cfg.p))
 
 
@@ -366,7 +403,7 @@ def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     from, to) event records: one per decode and one per conference message,
     ordered by round, then event kind ("conference" before "decode"), then
     user, ties kept in log order.  Records are plain tuples; from and to are
-    "" for a decode.
+    "" for a decode, and masked in their columns.
     """
     users, log = report.per_user.cols, report.conf_log.cols
     dec = (users["kind"] == "fast") | (users["kind"] == "slow")
@@ -375,18 +412,21 @@ def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     cells = np.concatenate([users["user"][dec], log["from_node"]])
     if cells.size and not 1 <= cells.min() <= cells.max() <= pattern.k:
         raise ValueError("report has cells outside the silencing pattern")
-    cols = {
-        "subnet": np.searchsorted([s.silenced_cell for s in pattern.subnets], cells),
-        "user": np.concatenate([users["user"][dec], log["subject"]]),
-        "event_kind": np.where(is_decode, "decode", "conference"),
-        "round": np.concatenate([users["decode_round"][dec], log["round"]]),
-        "rate_bits": np.concatenate([users["rate"][dec], log["payload_rate"]]),
-        "from": np.full(n_dec + n_msg, "", dtype=object),
-        "to": np.full(n_dec + n_msg, "", dtype=object),
-    }
-    cols["from"][n_dec:], cols["to"][n_dec:] = log["from_node"], log["to_node"]
-    order = np.lexsort((cols["user"], is_decode, cols["round"]))
-    return Columns(_row, {n: c[order] for n, c in cols.items()})
+    user = np.concatenate([users["user"][dec], log["subject"]])
+    rnd = np.concatenate([users["decode_round"][dec], log["round"]])
+    # one stable sort on an int64 key orders like np.lexsort((user, is_decode, rnd))
+    u0, r0 = user.min(initial=0), rnd.min(initial=0)
+    order = np.argsort(((rnd - r0) * 2 + is_decode) * (user.max(initial=0) - u0 + 1) + (user - u0), kind="stable")
+    none, decode = np.zeros(n_dec, dtype=np.int64), is_decode[order]
+    return Columns(_row, {
+        "subnet": np.searchsorted([s.silenced_cell for s in pattern.subnets], cells)[order],
+        "user": user[order],
+        "event_kind": _EVENT_KINDS[decode],
+        "round": rnd[order],
+        "rate_bits": np.concatenate([users["rate"][dec], log["payload_rate"]])[order],
+        "from": np.ma.masked_array(np.concatenate([none, log["from_node"]])[order], decode),
+        "to": np.ma.masked_array(np.concatenate([none, log["to_node"]])[order], decode),
+    })
 
 
 @dataclass(frozen=True)
@@ -425,15 +465,21 @@ def measure_mux_gains(
     that report as top_report, and the top power is not simulated again.
     """
     validate_p_ladder(p_ladder)
-    run = _simulator(mode)
+    return _convergence(_layout(pattern, mode), cfg_base, p_ladder, top_report)
 
+
+def _convergence(
+    layout: _Layout, cfg_base: NetworkConfig, p_ladder: list[float], top_report: RateReport | None
+) -> tuple[MuxPair, list[ConvergenceRow]]:
+    """measure_mux_gains on a layout of the pattern, which serves every ladder power."""
     rows: list[ConvergenceRow] = []
     prev_fast = prev_slow = prev_norm = 0.0
     for i, p in enumerate(p_ladder):
         reuse = top_report is not None and i == len(p_ladder) - 1
-        rep = top_report if reuse else run(replace(cfg_base, p=float(p)), pattern)
+        rep = top_report if reuse else _report(layout, validate_config(replace(cfg_base, p=float(p))))
         norm = 0.5 * math.log2(1 + p)
-        max_pl, avg_pl = conferencing_load(rep, p)
+        max_pl, avg_pl = _link_loads(layout.direction, rep.conf_log.cols["payload_rate"], layout.k,
+                                     0.5 * math.log2(p))
         s_fast = (rep.avg_fast - prev_fast) / (norm - prev_norm)
         s_slow = (rep.avg_slow - prev_slow) / (norm - prev_norm)
         rows.append(ConvergenceRow(float(p), s_fast, s_slow, avg_pl, max_pl))

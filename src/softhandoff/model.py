@@ -10,6 +10,7 @@ _two_cut_polygon; _polyline_ymax is the one piecewise-linear interpolator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -61,7 +62,10 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
     Raises ValueError naming the violated field otherwise.
     """
     for name in ("alpha", "p", "pi"):
-        if not math.isfinite(getattr(cfg, name)):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
     if cfg.alpha == 0:
         raise ValueError("alpha must be nonzero")

@@ -14,6 +14,7 @@ like (1/22, 20/22) hold to machine precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +36,10 @@ class MuxRegionSpec:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
+        if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real):
+            raise ValueError(f"mu must be a real number, got {self.mu!r}")
+        if isinstance(self.d_max, bool) or not isinstance(self.d_max, numbers.Integral):
+            raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
         if self.mu < 0:

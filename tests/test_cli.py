@@ -240,16 +240,15 @@ class TestManifestRoundTrip:
     @pytest.mark.parametrize("mode", ["rx", "tx"])
     def test_simulate_runs_each_ladder_power_once(self, tmp_path, capsys, monkeypatch, mode):
         powers = []
-        name = f"run_{mode}_conferencing"
-        sim = getattr(conf_sim, name)
+        report = conf_sim._report
 
-        def counted(cfg, pattern):
+        def counted(layout, cfg):
             powers.append(cfg.p)
-            return sim(cfg, pattern)
+            return report(layout, cfg)
 
-        # the CLI and measure_mux_gains each look the simulator up in their own module
-        monkeypatch.setattr(cli, name, counted)
-        monkeypatch.setattr(conf_sim, name, counted)
+        # the CLI and measure_mux_gains each look the per-power step up in their own module
+        monkeypatch.setattr(cli, "_report", counted)
+        monkeypatch.setattr(conf_sim, "_report", counted)
         code, _, _ = run_cli(
             ["simulate", mode, "--k", "22", "--dmax", "2", "--p-ladder", "1e2,1e4,1e6",
              "--out", str(tmp_path / "s")],
@@ -257,6 +256,26 @@ class TestManifestRoundTrip:
         )
         assert code == 0
         assert sorted(powers) == [1e2, 1e4, 1e6]
+
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    def test_simulate_tiles_each_subnet_shape_once(self, tmp_path, capsys, monkeypatch, mode):
+        shapes = []
+        name = f"_{mode}_template"
+        template = getattr(conf_sim, name)
+
+        def counted(m, d_max):
+            shapes.append(m)
+            return template(m, d_max)
+
+        monkeypatch.setattr(conf_sim, name, counted)
+        # 230 = 10 full subnets (21 active cells) and a trailing one with 9
+        code, _, _ = run_cli(
+            ["simulate", mode, "--k", "230", "--dmax", "10", "--p-ladder", "1e2,1e3,1e4,1e6",
+             "--out", str(tmp_path / "s")],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(shapes) == [9, 21]
 
     @pytest.mark.parametrize("ladder", ["10,100,inf", "10,nan,100", "1e4,1e2,1e6", "1e2,1e4"])
     def test_bad_ladder_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch, ladder):
@@ -292,3 +311,77 @@ class TestManifestRoundTrip:
                                 "--out", str(tmp_path / "s")], capsys)
         assert code == 2
         assert field in err
+
+    def test_k_above_cap_exits_2_before_tiling(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tiled a layout before validating k")
+
+        monkeypatch.setattr(cli, "_layout", refuse)
+        code, _, err = run_cli(["simulate", "rx", "--k", str(conf_sim._MAX_K + 1), "--dmax", "10",
+                                "--out", str(tmp_path / "s")], capsys)
+        assert code == 2
+        assert f"k must be at most {conf_sim._MAX_K}" in err
+
+    def test_empty_ladder_entry_exits_2_naming_p_ladder(self, tmp_path, capsys):
+        code, _, err = run_cli(["simulate", "rx", "--k", "22", "--dmax", "2", "--p-ladder", "1e2,,1e4",
+                                "--out", str(tmp_path / "s")], capsys)
+        assert code == 2
+        assert "p_ladder must be a list of numbers" in err
+
+
+def _manifest(tmp_path, capsys, argv):
+    """The manifest document the CLI writes for argv."""
+    assert run_cli([*argv, "--out", str(tmp_path / "first")], capsys)[0] == 0
+    return json.loads(next(tmp_path.glob("first*.manifest.json")).read_text())
+
+
+_ABSENT = object()
+
+
+def _rerun_doc(tmp_path, capsys, doc):
+    path = tmp_path / "edited.manifest.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(["rerun", str(path), "--out", str(tmp_path / "redone")], capsys)
+
+
+class TestMalformedManifest:
+    """Hand-edited manifests exit 2 naming the field, never 3."""
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("dmax", 2.5, "d_max"), ("dmax", "2", "d_max"), ("mu", "0.3", "mu"), ("mu", None, "mu"),
+    ])
+    def test_region_mux_param(self, tmp_path, capsys, key, value, field):
+        doc = _manifest(tmp_path, capsys, ["region", "mux", "--mu", "0.3", "--dmax", "2"])
+        doc["params"][key] = value
+        code, _, err = _rerun_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert field in err
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("alpha", _ABSENT, "alpha"), ("p_ladder", 5, "p_ladder"), ("dmax", None, "dmax"), ("mode", "bogus", "mode"),
+    ])
+    def test_simulate_param(self, tmp_path, capsys, key, value, field):
+        doc = _manifest(tmp_path, capsys, ["simulate", "tx", "--k", "12", "--dmax", "2"])
+        if value is _ABSENT:
+            del doc["params"][key]
+        else:
+            doc["params"][key] = value
+        code, _, err = _rerun_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert field in err
+
+    def test_region_outer_null_k(self, tmp_path, capsys):
+        doc = _manifest(tmp_path, capsys, ["region", "outer", "--k", "3"])
+        doc["params"]["k"] = None
+        code, _, err = _rerun_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert "k must be an integer or inf" in err
+
+    @pytest.mark.parametrize("edit", ["no params", "a list"])
+    def test_document_shape(self, tmp_path, capsys, edit):
+        doc = _manifest(tmp_path, capsys, ["region", "mux"])
+        if edit == "no params":
+            del doc["params"]
+        code, _, err = _rerun_doc(tmp_path, capsys, doc if edit == "no params" else [doc])
+        assert code == 2
+        assert "params object" in err

@@ -2,8 +2,13 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from softhandoff import conf_sim
+from softhandoff.cli import _fmt, _write_csvs
 from softhandoff.conf_sim import (
     ConferenceMessage,
     ConvergenceRow,
@@ -18,6 +23,7 @@ from softhandoff.conf_sim import (
     RateReport,
 )
 from softhandoff.model import NetworkConfig
+from softhandoff.outer_bound import outer_constraints
 
 HALF_LOG2_6 = 1.292481250360578        # forward rate at P=5
 R_CROSS = 0.1315172029168969           # 0.5*log2(1 + 0.04*5)
@@ -462,3 +468,108 @@ class TestRateReportColumns:
         assert rep != run_rx_conferencing(replace(cfg, p=cfg.p * 2), pattern)
         assert rep.per_user != rep.per_user[:-1]
         assert conferencing_load(from_records, cfg.p) == conferencing_load(rep, cfg.p)
+
+
+class TestSharedLayout:
+    """One layout per (pattern, mode), evaluated at every ladder power, gives
+    bit for bit what a run per power of the record loop gives."""
+
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    def test_every_power_on_one_layout(self, mode):
+        rng = random.Random(88)
+        for cfg, pattern in CONFIGS:
+            layout = conf_sim._layout(pattern, mode)
+            ladder = sorted({10 ** rng.uniform(0.1, 8) for _ in range(rng.randint(3, 6))})
+            for p in ladder:
+                users, avg_fast, avg_slow, msgs = _ref_run(replace(cfg, p=p), pattern, mode)
+                rep = conf_sim._report(layout, replace(cfg, p=p))
+                assert rep == RateReport(per_user=users, avg_fast=avg_fast, avg_slow=avg_slow, conf_log=msgs)
+                assert (rep.avg_fast, rep.avg_slow) == (avg_fast, avg_slow)
+                assert conferencing_load(rep, p) == _ref_load(msgs, len(users), p)
+            top = replace(cfg, p=ladder[-1])
+            want = _ref_convergence(cfg, pattern, ladder, mode)
+            # the simulate command's path: the top report comes from the same layout
+            assert conf_sim._convergence(layout, cfg, ladder, conf_sim._report(layout, top))[1] == want
+            assert measure_mux_gains(cfg, pattern, ladder, mode, top_report=conf_sim._report(layout, top))[1] == want
+            assert measure_mux_gains(cfg, pattern, ladder, mode)[1] == want
+
+
+class TestEventOrder:
+    def test_one_key_sorts_like_lexsort_on_round_kind_user(self):
+        """Random reports with many ties in round, event kind and user: the event
+        order is a stable sort on (round, is_decode, user), as np.lexsort gives."""
+        rng = random.Random(5)
+        pattern = build_silencing(40, 2)
+        for n_msgs in (0, 1, 50, 400):
+            users = [UserRate(c, rng.choice(["fast", "slow", "silenced"]), rng.choice([0.5, 1.0]), rng.randrange(4))
+                     for c in range(1, 41)]
+            msgs = [ConferenceMessage(rng.randrange(4), rng.randint(1, 40), rng.randint(1, 40), rng.choice([0.5, 2.0]),
+                                      "quantization_index", rng.randint(1, 40)) for _ in range(n_msgs)]
+            rep = RateReport(per_user=users, avg_fast=0.0, avg_slow=0.0, conf_log=msgs)
+            assert list(event_log_rows(rep, pattern)) == _ref_event_rows(users, msgs, pattern)
+
+
+def _ref_csv(header, columns):
+    """The writer's text with every cell formatted on its own: floats through
+    _fmt, masked cells as "", everything else through str."""
+    cols = [np.asanyarray(c) for c in columns]
+    cells = [["" if masked else _fmt(v) if isinstance(v, float) else str(v)
+              for v, masked in zip(np.ma.getdata(c).tolist(), np.ma.getmaskarray(c).tolist())] for c in cols]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _masked(values, mask):
+    return np.ma.masked_array(np.array(values, dtype=np.int64), mask)
+
+
+CSV_COLUMNS = {
+    "negative": [np.array([-5, 3, -5, 0, 12]), np.array([0.5, -0.0, 0.5, 1e-300, -2.5]), ["a", "b", "a", "", "c"]],
+    "empty": [np.zeros(0, dtype=np.int64), np.zeros(0), []],
+    "single": [np.array([7]), np.array([1 / 3]), _masked([0], [True])],
+    "masked": [np.array([4, 9, 4]), _masked([0, -2, 11], [True, False, False]), _masked([3, 0, 0], [False, True, True]),
+               np.array(["decode", "conference", "decode"], dtype=object)],
+    # a range far wider than the cells: the table holds the distinct integers only
+    "sparse": [_masked([0, 0], [True, True]), np.array([2**40, -(2**40)])],
+}
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("name", sorted(CSV_COLUMNS))
+    def test_matches_per_cell_formatting(self, tmp_path, name):
+        columns = CSV_COLUMNS[name]
+        header = [f"c{i}" for i in range(len(columns))]
+        _write_csvs([(str(tmp_path / "t.csv"), header, columns)])
+        assert (tmp_path / "t.csv").read_text() == _ref_csv(header, columns)
+
+    def test_files_sharing_one_table_match_files_written_alone(self, tmp_path):
+        files = [(str(tmp_path / f"{name}.csv"), [f"c{i}" for i in range(len(cols))], cols)
+                 for name, cols in CSV_COLUMNS.items()]
+        _write_csvs(files)
+        for path, header, columns in files:
+            with open(path) as fh:
+                assert fh.read() == _ref_csv(header, columns)
+
+
+def _max_link_bits(report):
+    per_dir = {}
+    for m in report.conf_log:
+        per_dir[m.from_node, m.to_node] = per_dir.get((m.from_node, m.to_node), 0.0) + m.payload_rate
+    return max(per_dir.values(), default=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d_max=st.integers(1, 6),
+    extra=st.integers(0, 40),
+    alpha=st.floats(0.02, 0.98).flatmap(lambda a: st.sampled_from([a, -a])),
+    log_p=st.floats(-2, 6),
+    mode=st.sampled_from(["rx", "tx"]),
+)
+def test_simulated_sum_rate_within_finite_k_outer_sum_bound(d_max, extra, alpha, log_p, mode):
+    """A silencing run is achievable, so its per-cell fast plus slow rate lies
+    under the finite-k outer sum bound with pi set to its largest link load."""
+    k = 2 * d_max + 2 + extra
+    cfg = NetworkConfig(alpha=alpha, p=10 ** log_p, k=k, d_max=d_max)
+    rep = (run_rx_conferencing if mode == "rx" else run_tx_conferencing)(cfg, build_silencing(k, d_max))
+    cap = outer_constraints(replace(cfg, pi=_max_link_bits(rep))).sum_cap
+    assert rep.avg_fast + rep.avg_slow <= cap

@@ -11,7 +11,10 @@ polygons came from one closed-form two-cut builder and `compare` from the
 model's polyline interpolator (one outer and one mux region per regime of
 the two cuts, the degenerate one-point outer region, an outer region whose
 cuts tie, and the `compare_*.txt` stdout of four comparisons against the
-golden CSVs); a change that moves any byte of them changes a published
+golden CSVs), and before `simulate` evaluated every ladder power on one
+silencing layout and wrote CSV text from lookup tables (simulate with a
+5-power ladder, a negative alpha and a trailing subnet with no active cell);
+a change that moves any byte of them changes a published
 output and must say so.
 """
 from pathlib import Path
@@ -23,6 +26,7 @@ from softhandoff.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 SIMULATE = ["--k", "220", "--dmax", "10", "--alpha", "0.5", "--p-ladder", "1e2,1e4,1e6"]
+SIMULATE_K67 = ["--k", "67", "--dmax", "2", "--alpha", "-0.3", "--p-ladder", "1.5,10,1e3,1e5,1e8"]
 
 # --out value (the CSV for `region`, the file prefix for `simulate`) -> command
 CASES = {
@@ -62,6 +66,10 @@ CASES = {
                               "--p-ladder", "10,1e3,1e5"],
     "simulate_tx_k10_dmax1": ["simulate", "tx", "--k", "10", "--dmax", "1", "--alpha", "0.3",
                               "--p-ladder", "10,1e3,1e5"],
+    # a 5-power ladder, a negative alpha, and 67 = 11 subnets of 6 cells plus
+    # a trailing subnet with no active cell
+    "simulate_rx_k67_dmax2": ["simulate", "rx", *SIMULATE_K67],
+    "simulate_tx_k67_dmax2": ["simulate", "tx", *SIMULATE_K67],
 }
 
 
