@@ -17,17 +17,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .conf_sim import (  # noqa: F401 - perfbench's tracer wraps measure_mux_gains and run_* here
-    _convergence,
-    _layout,
-    _report,
-    build_silencing,
-    event_log_rows,
-    measure_mux_gains,
-    run_rx_conferencing,
-    run_tx_conferencing,
-    validate_p_ladder,
-)
+from .conf_sim import _convergence, _layout, build_silencing, event_log_rows, validate_p_ladder
+from .conf_sim import measure_mux_gains, run_rx_conferencing, run_tx_conferencing  # noqa: F401 - traced names
 from .inner_bound import inner_boundary
 from .model import ASYMPTOTIC_K, NetworkConfig, Region, _polyline_ymax, upper_chain, validate_config
 from .mux_gain import MuxRegionSpec, mux_region
@@ -35,9 +26,6 @@ from .outer_bound import outer_region
 from .reference_curves import KNOWN_DISCREPANCIES, get_reference, match_inner_reference
 
 _ENV_OUTDIR = "SOFTHANDOFF_OUTDIR"
-# manifest params a command needs; every manifest the CLI writes holds them
-_REQUIRED = {"region": ("kind", "alpha", "p"), "simulate": ("mode", "k", "dmax", "alpha", "p_ladder"),
-             "compare": ("label", "csv")}
 
 
 def _fmt(v: float) -> str:
@@ -52,35 +40,29 @@ def _outdir() -> str:
 def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
     """Write each (path, header, equal-length columns) as a CSV, one row per line.
 
-    Integer cells index one table of str(i) over the files' integer range (their
-    distinct integers if the range is wider than their count of integer cells),
-    whose last entry "" serves masked cells; floats go through _fmt once per
-    distinct value; strings are written as they are.  Rows go out in blocks,
-    so no file's whole text is held as one string.
+    Integer cells index one table of str(i) over the files' integer range, which
+    the callers keep small (cells, users, rounds and subnets of k <= _MAX_K
+    cells); its last entry "" serves masked cells.  Floats go through _fmt once
+    per distinct value; strings are written as they are.  Rows go out in
+    blocks, so no file's whole text is held as one string.
     """
     files = [(path, header, [np.asanyarray(c) for c in columns]) for path, header, columns in files]
-    ints = [c for _, _, cols in files for c in cols if c.dtype.kind in "iu"]
-    spans = [(int(v.min()), int(v.max()), v.size) for v in map(np.ma.compressed, ints) if v.size]
-    lo, hi = min((s[0] for s in spans), default=0), max((s[1] for s in spans), default=-1)
-    dense = hi - lo < sum(s[2] for s in spans)
-    keys = np.arange(lo, hi + 1) if dense else np.unique(np.concatenate([np.ma.compressed(c) for c in ints]))
-    table = np.array([*map(str, keys.tolist()), ""], dtype=object)
+    ints = [v for _, _, cols in files for c in cols if c.dtype.kind in "iu" and (v := np.ma.compressed(c)).size]
+    lo, hi = min((int(v.min()) for v in ints), default=0), max((int(v.max()) for v in ints), default=-1)
+    table = np.array([*map(str, range(lo, hi + 1)), ""], dtype=object)
     for path, header, cols in files:
         text = []
         for col in cols:
             if col.dtype.kind in "iu":
-                values = np.ma.getdata(col)
-                at = values - lo if dense else np.searchsorted(keys, values)
-                text.append(table[np.where(np.ma.getmaskarray(col), len(keys), at)].tolist())
+                text.append(table[np.where(np.ma.getmaskarray(col), -1, np.ma.getdata(col) - lo)].tolist())
             elif col.dtype.kind == "f":
                 values, inverse = np.unique(col, return_inverse=True)
                 text.append(np.array([_fmt(v) for v in values.tolist()], dtype=object)[inverse].tolist())
             else:
                 text.append(col.tolist())
-        rows = list(map(",".join, zip(*text)))
+        rows = [",".join(header), *map(",".join, zip(*text))]
         del text
         with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
             for i in range(0, len(rows), 8192):
                 fh.write("\n".join(rows[i:i + 8192]) + "\n")
 
@@ -175,25 +157,15 @@ def _run_region(params: dict) -> list[str]:
 
 def _run_simulate(params: dict) -> list[str]:
     mode = params["mode"]
-    if mode not in ("rx", "tx"):
-        raise ValueError("mode must be rx or tx")
     k, d_max = params["k"], params["dmax"]
     if type(k) is not int or type(d_max) is not int:
         raise ValueError(f"k and dmax must be integers, got {k!r} and {d_max!r}")
     ladder = _parse_ladder(params["p_ladder"])
     validate_p_ladder(ladder)
-    cfg = NetworkConfig(
-        alpha=params["alpha"],
-        p=ladder[-1],
-        k=k,
-        pi=params.get("pi", 0.0),
-        d_max=d_max,
-    )
-    validate_config(cfg)
+    cfg = validate_config(NetworkConfig(alpha=params["alpha"], p=ladder[-1], k=k, pi=params.get("pi", 0.0),
+                                        d_max=d_max))
     pattern = build_silencing(k, d_max)
-    layout = _layout(pattern, mode)  # serves the top report and every lower ladder power
-    report = _report(layout, cfg)
-    _, rows = _convergence(layout, cfg, ladder, top_report=report)
+    _, rows, report = _convergence(_layout(pattern, mode), cfg, ladder, None)  # report: the top power's
 
     prefix = params.get("out") or os.path.join(_outdir(), f"simulate_{mode}")
 
@@ -316,13 +288,13 @@ def main(argv: list[str] | None = None) -> int:
             if not (isinstance(doc, dict) and isinstance(doc.get("command"), str)
                     and isinstance(doc.get("params"), dict)):
                 raise ValueError("manifest must be a JSON object with a command string and a params object")
-            missing = [key for key in _REQUIRED.get(doc["command"], ()) if key not in doc["params"]]
-            if missing:
-                raise ValueError(f"manifest params lack {', '.join(missing)}")
             params = dict(doc["params"])
             if args.out:
                 params["out"] = args.out
-            return _dispatch(doc["command"], params, sys.stdout)
+            try:
+                return _dispatch(doc["command"], params, sys.stdout)
+            except KeyError as err:  # the first param the command reads and the manifest lacks
+                raise ValueError(f"manifest params lack {err}") from None
 
         if args.command == "region":
             params = {
@@ -345,9 +317,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except SystemExit as err:
-        # argparse exits with its own code (2 on usage errors)
-        raise err
     except Exception as err:  # pragma: no cover - defensive
         print(f"internal error: {err}", file=sys.stderr)
         return 3

@@ -40,7 +40,7 @@ log are computed on the columns, every sum added left to right in log order.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 _USER_KINDS = np.array(["fast", "slow", "silenced", "relay"], dtype=object)
-_EVENT_KINDS = np.array(["conference", "decode"], dtype=object)
+_PAYLOAD_KIND = {"rx": "decoded_message_estimate", "tx": "quantization_index"}
 _FAST, _SLOW, _SILENCED, _RELAY = range(4)
 _MAX_K = 200_000  # a run holds about 1 KB per cell: this caps one near 200 MB
 
@@ -112,11 +112,7 @@ class UserRate:
 
 def _values(col: np.ndarray) -> list:
     """The cells of a column as Python scalars; a masked (np.ma) cell reads as ""."""
-    if not np.ma.is_masked(col):
-        return col.tolist()
-    cells = np.ma.getdata(col).astype(object)
-    cells[np.ma.getmaskarray(col)] = ""
-    return cells.tolist()
+    return np.ma.filled(col.astype(object), "").tolist() if np.ma.is_masked(col) else col.tolist()
 
 
 class Columns(Sequence):
@@ -258,40 +254,34 @@ def _running_sum(x: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """What a mode's run on a pattern is at every power: user rows (cell, kind, rate slot,
-    round) in cell order, message rows (round, from, to, rate slot, subject) subnet by
-    subnet, each message's link direction, and the mode's rate-slot table and payload kind."""
+    """A mode's run on a pattern at any power: user rows (cell, kind, rate slot, round) in
+    cell order, message rows (round, from, to, rate slot, subject) subnet by subnet, and
+    each message's link-direction index."""
 
+    mode: str
     k: int
-    rates: Callable[[NetworkConfig], tuple[float, ...]]
-    payload_kind: str
     users: np.ndarray
     msgs: np.ndarray
     direction: np.ndarray
 
 
-def _rx_rates(cfg: NetworkConfig) -> tuple[float, ...]:
-    p, a = cfg.p, cfg.alpha
-    r_fwd = 0.5 * math.log2(1 + p)
-    r_bwd = 0.5 * math.log2(1 + a * a * p)
-    return r_fwd, r_bwd, 0.0
-
-
-def _tx_rates(cfg: NetworkConfig) -> tuple[float, ...]:
+def _slot_rates(mode: str, cfg: NetworkConfig) -> tuple[float, ...]:
+    """The rate of each slot of a mode's template at cfg: rx (r_fwd, r_bwd, 0),
+    tx (q_rate = r_first, r_dpc, r_bwd, 0)."""
     p, a2 = cfg.p, cfg.alpha * cfg.alpha
-    q_rate = 0.5 * math.log2(1 + p)
-    d_q = p * 2.0 ** (-2 * q_rate)          # = p / (1 + p), Gaussian quantiser
+    r_full = 0.5 * math.log2(1 + p)
+    if mode == "rx":
+        return r_full, 0.5 * math.log2(1 + a2 * p), 0.0
+    d_q = p * 2.0 ** (-2 * r_full)          # = p / (1 + p), Gaussian quantiser
     r_dpc = 0.5 * math.log2(1 + p / (1 + a2 * d_q))
-    r_bwd = 0.5 * math.log2(1 + a2 * p / (1 + a2 * d_q))
-    return q_rate, r_dpc, r_bwd, 0.0
+    return r_full, r_dpc, 0.5 * math.log2(1 + a2 * p / (1 + a2 * d_q)), 0.0
 
 
 def _layout(pattern: SilencingPattern, mode: str) -> _Layout:
     """Tile each subnet shape's template of a mode ("rx" or "tx") over its subnets."""
     if mode not in ("rx", "tx"):
         raise ValueError(f"mode must be 'rx' or 'tx', got {mode!r}")
-    template, rates, payload_kind = ((_rx_template, _rx_rates, "decoded_message_estimate") if mode == "rx"
-                                     else (_tx_template, _tx_rates, "quantization_index"))
+    template = _rx_template if mode == "rx" else _tx_template
     firsts = np.array([s.first for s in pattern.subnets], dtype=np.int64)
     sizes = np.array([s.active_count for s in pattern.subnets])
     users, msgs, msg_subnet = [], [], []
@@ -305,12 +295,12 @@ def _layout(pattern: SilencingPattern, mode: str) -> _Layout:
     mm = np.concatenate(msgs)
     users = np.ascontiguousarray(u[np.argsort(u[:, 0], kind="stable")].T)
     msgs = np.ascontiguousarray(mm[np.argsort(np.concatenate(msg_subnet), kind="stable")].T)
-    return _Layout(pattern.k, rates, payload_kind, users, msgs, _directions(msgs[1], msgs[2]))
+    return _Layout(mode, pattern.k, users, msgs, _directions(msgs[1], msgs[2]))
 
 
 def _report(layout: _Layout, cfg: NetworkConfig) -> RateReport:
     """The rate report of a layout at cfg: the rates enter through a slot table lookup."""
-    table = np.array(layout.rates(cfg))
+    table = np.array(_slot_rates(layout.mode, cfg))
     user, kind, slot, rnd = layout.users
     m_rnd, frm, to, m_slot, subject = layout.msgs
     rate = table[slot]
@@ -319,7 +309,8 @@ def _report(layout: _Layout, cfg: NetworkConfig) -> RateReport:
     per_user = Columns(UserRate, {"user": user, "kind": _USER_KINDS[kind], "rate": rate, "decode_round": rnd})
     conf_log = Columns(ConferenceMessage, {
         "round": m_rnd, "from_node": frm, "to_node": to, "payload_rate": table[m_slot],
-        "payload_kind": np.array([layout.payload_kind], dtype=object).repeat(len(m_rnd)), "subject": subject,
+        "payload_kind": np.array([_PAYLOAD_KIND[layout.mode]], dtype=object).repeat(len(m_rnd)),
+        "subject": subject,
     })
     return RateReport(per_user, avg_fast, avg_slow, conf_log)
 
@@ -421,7 +412,7 @@ def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     return Columns(_row, {
         "subnet": np.searchsorted([s.silenced_cell for s in pattern.subnets], cells)[order],
         "user": user[order],
-        "event_kind": _EVENT_KINDS[decode],
+        "event_kind": np.array(["conference", "decode"], dtype=object)[decode],
         "round": rnd[order],
         "rate_bits": np.concatenate([users["rate"][dec], log["payload_rate"]])[order],
         "from": np.ma.masked_array(np.concatenate([none, log["from_node"]])[order], decode),
@@ -465,21 +456,21 @@ def measure_mux_gains(
     that report as top_report, and the top power is not simulated again.
     """
     validate_p_ladder(p_ladder)
-    return _convergence(_layout(pattern, mode), cfg_base, p_ladder, top_report)
+    return _convergence(_layout(pattern, mode), cfg_base, p_ladder, top_report)[:2]
 
 
-def _convergence(
-    layout: _Layout, cfg_base: NetworkConfig, p_ladder: list[float], top_report: RateReport | None
-) -> tuple[MuxPair, list[ConvergenceRow]]:
-    """measure_mux_gains on a layout of the pattern, which serves every ladder power."""
+def _convergence(layout: _Layout, cfg_base: NetworkConfig, p_ladder: list[float],
+                 top_report: RateReport | None) -> tuple[MuxPair, list[ConvergenceRow], RateReport]:
+    """measure_mux_gains on a layout of the pattern, which serves every ladder power, and the top
+    power's report; a caller's top_report need not hold the layout's log, so its own log gives its loads."""
     rows: list[ConvergenceRow] = []
     prev_fast = prev_slow = prev_norm = 0.0
     for i, p in enumerate(p_ladder):
         reuse = top_report is not None and i == len(p_ladder) - 1
         rep = top_report if reuse else _report(layout, validate_config(replace(cfg_base, p=float(p))))
         norm = 0.5 * math.log2(1 + p)
-        max_pl, avg_pl = _link_loads(layout.direction, rep.conf_log.cols["payload_rate"], layout.k,
-                                     0.5 * math.log2(p))
+        max_pl, avg_pl = conferencing_load(rep, p) if reuse else _link_loads(
+            layout.direction, rep.conf_log.cols["payload_rate"], layout.k, 0.5 * math.log2(p))
         s_fast = (rep.avg_fast - prev_fast) / (norm - prev_norm)
         s_slow = (rep.avg_slow - prev_slow) / (norm - prev_norm)
         rows.append(ConvergenceRow(float(p), s_fast, s_slow, avg_pl, max_pl))
@@ -487,4 +478,4 @@ def _convergence(
 
     last = rows[-1]
     est = MuxPair(min(max(last.s_fast_est, 0.0), 1.0), min(max(last.s_slow_est, 0.0), 1.0))
-    return est, rows
+    return est, rows, rep

@@ -63,10 +63,8 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
     """
     for name in ("alpha", "p", "pi"):
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be finite and real, got {value!r}")
     if cfg.alpha == 0:
         raise ValueError("alpha must be nonzero")
     if abs(cfg.alpha) >= 1:

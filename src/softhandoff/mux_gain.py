@@ -36,12 +36,10 @@ class MuxRegionSpec:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real):
-            raise ValueError(f"mu must be a real number, got {self.mu!r}")
+        if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real) or not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite and real, got {self.mu!r}")
         if isinstance(self.d_max, bool) or not isinstance(self.d_max, numbers.Integral):
             raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
-        if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
         if self.d_max < 1:

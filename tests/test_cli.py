@@ -204,6 +204,19 @@ class TestManifestRoundTrip:
         assert code == 0
         assert redo.read_bytes() == out.read_bytes()
 
+    def test_region_mux_rerun_needs_no_unread_params(self, tmp_path, capsys):
+        # region mux reads neither alpha nor p, so a hand-written manifest may leave them out
+        out = tmp_path / "mux.csv"
+        run_cli(["region", "mux", "--mu", "0.3", "--dmax", "2", "--out", str(out)], capsys)
+        path = tmp_path / "mux.csv.manifest.json"
+        doc = json.loads(path.read_text())
+        del doc["params"]["alpha"], doc["params"]["p"]
+        path.write_text(json.dumps(doc))
+        redo = tmp_path / "redone.csv"
+        code, _, _ = run_cli(["rerun", str(path), "--out", str(redo)], capsys)
+        assert code == 0
+        assert redo.read_bytes() == out.read_bytes()
+
     def test_simulate_rerun_byte_identical(self, tmp_path, capsys):
         prefix = tmp_path / "sim"
         run_cli(
@@ -246,8 +259,6 @@ class TestManifestRoundTrip:
             powers.append(cfg.p)
             return report(layout, cfg)
 
-        # the CLI and measure_mux_gains each look the per-power step up in their own module
-        monkeypatch.setattr(cli, "_report", counted)
         monkeypatch.setattr(conf_sim, "_report", counted)
         code, _, _ = run_cli(
             ["simulate", mode, "--k", "22", "--dmax", "2", "--p-ladder", "1e2,1e4,1e6",

@@ -488,10 +488,32 @@ class TestSharedLayout:
                 assert conferencing_load(rep, p) == _ref_load(msgs, len(users), p)
             top = replace(cfg, p=ladder[-1])
             want = _ref_convergence(cfg, pattern, ladder, mode)
-            # the simulate command's path: the top report comes from the same layout
-            assert conf_sim._convergence(layout, cfg, ladder, conf_sim._report(layout, top))[1] == want
+            # the simulate command's path: _convergence also hands back the top power's report
+            _, rows, top_report = conf_sim._convergence(layout, cfg, ladder, None)
+            assert rows == want and top_report == conf_sim._report(layout, top)
             assert measure_mux_gains(cfg, pattern, ladder, mode, top_report=conf_sim._report(layout, top))[1] == want
             assert measure_mux_gains(cfg, pattern, ladder, mode)[1] == want
+
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    def test_foreign_top_report_loads_come_from_its_own_log(self, mode):
+        """A top_report not built on the layout (the other mode, every message on
+        one link, half the log) gives its loads from its own log, as
+        conferencing_load does."""
+        pattern, ladder = build_silencing(23, 2), [1e2, 1e4, 1e6]
+        cfg = NetworkConfig(alpha=0.6, p=ladder[-1], d_max=2, k=23)
+        own, other = ((run_rx_conferencing, run_tx_conferencing) if mode == "rx"
+                      else (run_tx_conferencing, run_rx_conferencing))
+        rep = own(cfg, pattern)
+        log = list(rep.conf_log)
+
+        def with_log(msgs):
+            return RateReport(per_user=list(rep.per_user), avg_fast=rep.avg_fast, avg_slow=rep.avg_slow,
+                              conf_log=msgs)
+
+        one_link = with_log([replace(m, from_node=1, to_node=2) for m in log])
+        for top in (other(cfg, pattern), one_link, with_log(log[: len(log) // 2])):
+            last = measure_mux_gains(cfg, pattern, ladder, mode, top_report=top)[1][-1]
+            assert (last.max_link_prelog, last.avg_link_prelog) == conferencing_load(top, ladder[-1])
 
 
 class TestEventOrder:
@@ -528,8 +550,6 @@ CSV_COLUMNS = {
     "single": [np.array([7]), np.array([1 / 3]), _masked([0], [True])],
     "masked": [np.array([4, 9, 4]), _masked([0, -2, 11], [True, False, False]), _masked([3, 0, 0], [False, True, True]),
                np.array(["decode", "conference", "decode"], dtype=object)],
-    # a range far wider than the cells: the table holds the distinct integers only
-    "sparse": [_masked([0, 0], [True, True]), np.array([2**40, -(2**40)])],
 }
 
 
