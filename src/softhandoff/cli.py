@@ -104,9 +104,19 @@ def _parse_ladder(values: list) -> list[float]:
         raise ValueError(f"p_ladder must be a list of numbers, got {values!r}") from None
 
 
+def _checked(params: dict, name: str, default, *types: type):
+    """params[name], or default when it is absent, if its type is one of types
+    (exactly: a bool is not an int here)."""
+    value = params.get(name, default)
+    if type(value) not in types:
+        raise ValueError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def _run_region(params: dict) -> list[str]:
     kind = params["kind"]
-    out = params.get("out") or os.path.join(_outdir(), f"region_{kind}.csv")
+    out = _checked(params, "out", None, str, type(None)) or os.path.join(_outdir(), f"region_{kind}.csv")
+    grid, corrected = _checked(params, "grid", 64, int), _checked(params, "corrected", False, bool)
 
     # only mux reads --mu, but every kind rejects a bad one
     spec = MuxRegionSpec(
@@ -131,12 +141,7 @@ def _run_region(params: dict) -> list[str]:
 
     if kind == "inner":
         scheme = str(params.get("scheme", "both"))
-        pts = inner_boundary(
-            cfg,
-            scheme=scheme,
-            grid_resolution=params.get("grid", 64),
-            corrected=params.get("corrected", False),
-        )
+        pts = inner_boundary(cfg, scheme, grid, corrected)
         ref_label = match_inner_reference(scheme, cfg.p, cfg.alpha, cfg.pi, cfg.d_max)
         header = ["x_rate_bits", "y_rate_bits", "source"]
         columns = [
@@ -157,17 +162,14 @@ def _run_region(params: dict) -> list[str]:
 
 def _run_simulate(params: dict) -> list[str]:
     mode = params["mode"]
-    k, d_max = params["k"], params["dmax"]
-    if type(k) is not int or type(d_max) is not int:
-        raise ValueError(f"k and dmax must be integers, got {k!r} and {d_max!r}")
+    k, d_max = _checked(params, "k", None, int), _checked(params, "dmax", None, int)
+    prefix = _checked(params, "out", None, str, type(None)) or os.path.join(_outdir(), f"simulate_{mode}")
     ladder = _parse_ladder(params["p_ladder"])
     validate_p_ladder(ladder)
     cfg = validate_config(NetworkConfig(alpha=params["alpha"], p=ladder[-1], k=k, pi=params.get("pi", 0.0),
                                         d_max=d_max))
     pattern = build_silencing(k, d_max)
-    _, rows, report = _convergence(_layout(pattern, mode), cfg, ladder, None)  # report: the top power's
-
-    prefix = params.get("out") or os.path.join(_outdir(), f"simulate_{mode}")
+    _, rows, report = _convergence(_layout(pattern, mode), cfg, ladder)  # report: the top power's
 
     rates_path, events_path, conv_path = (prefix + f"_{name}.csv" for name in ("rates", "events", "convergence"))
     users, events = report.per_user.cols, event_log_rows(report, pattern).cols

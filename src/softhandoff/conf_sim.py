@@ -444,7 +444,6 @@ def measure_mux_gains(
     pattern: SilencingPattern,
     p_ladder: list[float],
     mode: str = "rx",
-    top_report: RateReport | None = None,
 ) -> tuple[MuxPair, list[ConvergenceRow]]:
     """Estimate the per-user multiplexing gains over an increasing power ladder.
 
@@ -452,25 +451,23 @@ def measure_mux_gains(
     the origin; later rows hold the secant slope between consecutive ladder
     powers, which strips the power-independent offsets of the cross-link rates
     and converges orders of magnitude faster.  The estimate is the final row's
-    value.  A caller that has already simulated cfg_base at p_ladder[-1] passes
-    that report as top_report, and the top power is not simulated again.
+    value.
     """
     validate_p_ladder(p_ladder)
-    return _convergence(_layout(pattern, mode), cfg_base, p_ladder, top_report)[:2]
+    return _convergence(_layout(pattern, mode), cfg_base, p_ladder)[:2]
 
 
-def _convergence(layout: _Layout, cfg_base: NetworkConfig, p_ladder: list[float],
-                 top_report: RateReport | None) -> tuple[MuxPair, list[ConvergenceRow], RateReport]:
+def _convergence(layout: _Layout, cfg_base: NetworkConfig,
+                 p_ladder: list[float]) -> tuple[MuxPair, list[ConvergenceRow], RateReport]:
     """measure_mux_gains on a layout of the pattern, which serves every ladder power, and the top
-    power's report; a caller's top_report need not hold the layout's log, so its own log gives its loads."""
+    power's report."""
     rows: list[ConvergenceRow] = []
     prev_fast = prev_slow = prev_norm = 0.0
-    for i, p in enumerate(p_ladder):
-        reuse = top_report is not None and i == len(p_ladder) - 1
-        rep = top_report if reuse else _report(layout, validate_config(replace(cfg_base, p=float(p))))
+    for p in p_ladder:
+        rep = _report(layout, validate_config(replace(cfg_base, p=float(p))))
         norm = 0.5 * math.log2(1 + p)
-        max_pl, avg_pl = conferencing_load(rep, p) if reuse else _link_loads(
-            layout.direction, rep.conf_log.cols["payload_rate"], layout.k, 0.5 * math.log2(p))
+        max_pl, avg_pl = _link_loads(layout.direction, rep.conf_log.cols["payload_rate"], layout.k,
+                                     0.5 * math.log2(p))
         s_fast = (rep.avg_fast - prev_fast) / (norm - prev_norm)
         s_slow = (rep.avg_slow - prev_slow) / (norm - prev_norm)
         rows.append(ConvergenceRow(float(p), s_fast, s_slow, avg_pl, max_pl))

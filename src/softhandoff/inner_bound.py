@@ -8,17 +8,15 @@ total of all conferenced parts must fit in pi.
 
 The region sweep works in cumulative-power space with vectorised closed
 forms; the per-allocation evaluators go through the log-determinant path so
-the two routes cross-check each other.  Under the printed rate terms the best
-allocation of every fast-rate bin is known in closed form (see _best_per_bin).
-The corrected terms are searched: a lattice, then coordinate descent from
-several seeds per bin, all bins' descents in lockstep, one vectorised
-evaluation per (sweep, coordinate) step, each following exactly the path it
-would follow alone.  Boundaries carry witness allocations so that every
-reported point can be re-derived.
+the two routes cross-check each other.  The best scheme-2 allocation of every
+fast-rate bin is known in closed form under both the printed and the
+corrected rate terms (see _best_per_bin), so scheme 2 is one vectorised
+evaluation per sweep; only corrected scheme 1 reads a fixed 3-layer table.
+Boundaries carry witness allocations so that every reported point can be
+re-derived.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,8 +50,8 @@ __all__ = [
 
 _EPS = 1e-12
 
-#: Largest grid_resolution a sweep accepts: the printed path evaluates every
-#: bin in one kernel call, about 2 KB per bin at d_max = 16.
+#: Largest grid_resolution a sweep accepts: scheme 2 evaluates every bin in
+#: one kernel call, about 2 KB per bin at d_max = 16.
 _MAX_GRID = 100_000
 
 
@@ -159,38 +157,6 @@ def _scheme2_batch(B: np.ndarray, cfg: NetworkConfig, corrected: bool = False):
     return terms[:, 0], conf, conf + final
 
 
-def _scheme2_grid(L: int, budget: int = 25_000) -> np.ndarray:
-    """Nondecreasing lattice vectors in [0,1]^L at the finest enumerable step."""
-    n = 1
-    while math.comb(n + 1 + L, L) <= budget:
-        n += 1
-    return np.array(list(itertools.combinations_with_replacement(range(n + 1), L)), dtype=float) / n
-
-
-_BLOCK_ROWS = 2048
-
-
-def _scheme2_blocks(B: np.ndarray, cfg: NetworkConfig, corrected: bool) -> np.ndarray:
-    """_scheme2_batch over the rows of B in blocks of _BLOCK_ROWS, as one (3, m) array.
-
-    The broadcast temporaries of _scheme2_batch are (rows, L-1) arrays; over
-    a whole lattice of up to 25k rows, or the line searches of a few hundred
-    lockstep descents, they would raise the peak resident memory by several
-    MB.  Rows are independent, so the blocking changes no value.
-    """
-    vals = np.empty((3, len(B)))
-    for i in range(0, len(B), _BLOCK_ROWS):
-        vals[:, i:i + _BLOCK_ROWS] = _scheme2_batch(B[i:i + _BLOCK_ROWS], cfg, corrected)
-    return vals
-
-
-def _scheme2_lattice(cfg: NetworkConfig, corrected: bool):
-    """The _scheme2_grid lattice for cfg with its (r_fast, conf_load, total)."""
-    B = _scheme2_grid(cfg.d_max + 1)
-    r_fast, conf, tot = _scheme2_blocks(B, cfg, corrected)
-    return B, r_fast, conf, tot
-
-
 def _u0(x: float, cfg: NetworkConfig) -> float | None:
     """Power above depth 0, in [0, 1], that leaves fast rate x at full total
     power (None when x exceeds that fast cap); the scheme-2 "top" vector
@@ -200,86 +166,6 @@ def _u0(x: float, cfg: NetworkConfig) -> float | None:
     if 1 - u0 > 1 + 1e-9:
         return None
     return min(max(u0, 0.0), 1.0)
-
-
-def _coordinate_descent(
-    B0: np.ndarray,
-    cfg: NetworkConfig,
-    x_target: np.ndarray | float,
-    corrected: bool = False,
-    n_line: int = 25,
-    sweeps: int = 40,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximise the scheme-2 sum cap from each seed row of B0 (m, L), keeping
-    the fast cap at least that row's x_target and the conferencing load within
-    pi.  Deterministic: fixed line-search lattice per coordinate, first-best
-    tie breaking.  Returns (best, B): each descent's sum cap (-inf where its
-    seed is infeasible) and the cumulative vector reaching it.
-
-    The descents run in lockstep, and a single descent is a batch of one.
-    Each (sweep, coordinate) step evaluates the n_line candidates of every
-    live descent whose coordinate range is not empty in one _scheme2_blocks
-    call; each descent keeps its own best, argmax and improvement test, and
-    leaves the batch after a sweep without improvement, so every row follows
-    exactly the path it would follow alone.  The candidates are
-    np.linspace(lo, hi, n_line) spelled out from one precomputed arange, with
-    identical values.
-    """
-    B = np.array(B0, dtype=float)
-    m, L = B.shape
-    x_row = np.broadcast_to(np.asarray(x_target, dtype=float), (m,))
-
-    def value(Bm: np.ndarray, x: np.ndarray) -> np.ndarray:
-        r_fast, conf, tot = _scheme2_blocks(Bm, cfg, corrected)
-        ok = (r_fast >= x - 1e-9) & (conf <= cfg.pi + 1e-9)
-        return np.where(ok, tot, -np.inf)
-
-    best = value(B, x_row)
-    live = np.flatnonzero(np.isfinite(best))
-    steps = np.arange(n_line, dtype=float)
-    for _ in range(sweeps):
-        if not live.size:
-            break
-        improved = np.zeros(live.size, dtype=bool)
-        for j in range(L):
-            lo = B[live, j - 1] if j > 0 else np.zeros(live.size)
-            hi = B[live, j + 1] if j < L - 1 else np.ones(live.size)
-            act = ~(hi - lo < 1e-14)
-            if not act.any():
-                continue
-            rows, lo, hi = live[act], lo[act], hi[act]
-            n = rows.size
-            Bm = np.empty((n, n_line, L))
-            Bm[:] = B[rows, None, :]
-            Bm[:, :, j] = steps * ((hi - lo) / (n_line - 1))[:, None] + lo[:, None]
-            Bm[:, -1, j] = hi
-            x = np.repeat(x_row[rows], n_line)
-            vals = value(Bm.reshape(n * n_line, L), x).reshape(n, n_line)
-            k = vals.argmax(axis=1)
-            top = vals[np.arange(n), k]
-            up = top > best[rows] + 1e-13
-            best[rows[up]] = top[up]
-            B[rows[up]] = Bm[up, k[up]]
-            improved[act] |= up
-        live = live[improved]
-    return best, B
-
-
-def _scheme2_candidates(cfg: NetworkConfig, x: float, grid_best: np.ndarray | None):
-    """Deterministic top, linspace and lattice seeds for the bin at fast rate x."""
-    L = cfg.d_max + 1
-    seeds: list[np.ndarray] = []
-    u0 = _u0(x, cfg)
-    if u0 is not None:
-        b1 = 1 - u0
-        top = np.full(L, b1)
-        top[-1] = 1.0
-        seeds.append(top)
-        if L > 2:
-            seeds.append(np.concatenate([[b1], np.linspace(b1, 1.0, L)[1:]]))
-    if grid_best is not None:
-        seeds.append(grid_best)
-    return seeds
 
 
 @dataclass(frozen=True)
@@ -324,87 +210,37 @@ def _upper_concave_envelope(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     return hull
 
 
-def _points(xs: np.ndarray, bests) -> list[tuple[float, float, int, PowerAllocation]]:
-    """(x, y, scheme, alloc) of every bin that has a finite best sum cap."""
-    return [
-        (float(x), best_val - float(x), scheme, alloc)
-        for x, (best_val, scheme, alloc) in zip(xs, bests)
-        if alloc is not None and math.isfinite(best_val)
-    ]
+def _psi_inv(v, g):
+    """The step s >= 0 whose corrected round term psi(s) (see _best_per_bin)
+    is v, for 0 <= v < -1/2 log2(g)."""
+    return np.log((1 - g) / (4.0 ** -v - g))
 
 
-def _search_per_bin(
-    cfg: NetworkConfig, want1: bool, want2: bool, grid_resolution: int, corrected: bool
-) -> list[tuple[float, float, int, PowerAllocation]]:
-    """(x, y, scheme, alloc) of the best allocation found at each fast rate x.
-
-    Scheme 1 and the scheme-2 lattice are read off their tables.  Scheme-2
-    refinement then runs in two phases.  Phase 1 descends the top, linspace
-    and lattice seeds of every bin with x <= pi in one lockstep call.  Phase 2
-    walks the bins in order and compares those results in seed order; only
-    the warm seed (the last descent that won a bin) descends here, one bin at
-    a time, since it depends on the earlier bins.
-    """
-    if want1:
-        s1_fast, s1_sum, s1_B = _scheme1_table(cfg, 64, corrected)
-    if want2:
-        s2_B, s2_fast, s2_conf, s2_sum = _scheme2_lattice(cfg, corrected)
-
-    x_max = float(np.max(s1_fast)) if want1 else 0.0
-    if want2:
-        # the true scheme-2 fast cap is limited by pi through the load; the
-        # all-zero lattice vector has no load, so some vector is feasible
-        feas = s2_conf <= cfg.pi + 1e-9
-        x2 = max(float(np.max(s2_fast[feas])), min(cfg.pi, float(np.max(s2_fast))))
-        x_max = max(x_max, x2)
-
-    xs = np.unique(np.linspace(0.0, x_max if x_max >= 1e-12 else 0.0, grid_resolution + 1))
-
-    # per bin: (best value, its scheme, its allocation), and the lattice best
-    bests: list[tuple[float, int, PowerAllocation | None]] = []
-    grid_best: list[np.ndarray | None] = []
-    for x in xs:
-        best = (-np.inf, 0, None)
-        grid_best_B = None
-        if want1:
-            mask = s1_fast >= x - 1e-12
-            if np.any(mask):
-                k = int(np.argmax(np.where(mask, s1_sum, -np.inf)))
-                if s1_sum[k] > best[0]:
-                    b1, b2, b3 = s1_B[k]
-                    best = (float(s1_sum[k]), 1, PowerAllocation((b1, b2 - b1, b3 - b2)))
-        if want2:
-            mask = (s2_fast >= x - 1e-12) & (s2_conf <= cfg.pi + 1e-9)
-            if np.any(mask):
-                k = int(np.argmax(np.where(mask, s2_sum, -np.inf)))
-                grid_best_B = s2_B[k]
-                if s2_sum[k] > best[0]:
-                    best = (float(s2_sum[k]), 2, _alloc_from_cumulative(s2_B[k]))
-        bests.append(best)
-        grid_best.append(grid_best_B)
-
-    if want2:
-        L = cfg.d_max + 1
-        refined = [i for i, x in enumerate(xs) if x <= cfg.pi + 1e-12]
-        seeds = [_scheme2_candidates(cfg, float(xs[i]), grid_best[i]) for i in refined]
-        owner = [i for i, s in zip(refined, seeds) for _ in s]
-        vals, Bs = _coordinate_descent(
-            np.reshape([b for s in seeds for b in s], (-1, L)), cfg, xs[owner], corrected
-        )
-        warm: np.ndarray | None = None
-        start = 0
-        for i, s in zip(refined, seeds):
-            results = list(zip(vals[start:start + len(s)], Bs[start:start + len(s)]))
-            start += len(s)
-            if warm is not None:
-                val, B = _coordinate_descent(warm[None, :], cfg, xs[i], corrected)
-                results.append((val[0], B[0]))
-            for val, B in results:
-                if val > bests[i][0] + 1e-13:
-                    bests[i] = (float(val), 2, _alloc_from_cumulative(B))
-                    warm = B
-
-    return _points(xs, bests)
+def _scheme2_vectors(u0: np.ndarray, x: np.ndarray, cfg: NetworkConfig, corrected: bool) -> np.ndarray:
+    """Optimal scheme-2 cumulative vectors (m, L) of the bins at fast rates x,
+    with u0 = _u0(x): the top vectors under the printed terms, the steps of
+    _best_per_bin under the corrected ones."""
+    d = cfg.d_max
+    B = np.ones((len(u0), d + 1))
+    if not corrected:
+        B[:, :-1] = 1 - u0[:, None]
+        return B
+    a2 = cfg.alpha * cfg.alpha
+    g, pa = a2 / (1 + a2), cfg.p * (1 + a2)
+    S = math.log1p(pa)
+    sx = S - np.log1p(u0 * pa)  # sigma_x, clamped to [0, S] through u0
+    s = np.empty((len(u0), d))  # steps s_0 .. s_{d-1}; the final step is what is left of S
+    s[:, 0] = np.maximum(sx, S / (d + 1))
+    s[:, 1:] = ((S - s[:, 0]) / d)[:, None]
+    load = -0.5 * np.log2(g + (1 - g) * np.exp(-s)).sum(axis=1)
+    over = np.flatnonzero(load > cfg.pi)
+    if over.size:
+        s[over] = _psi_inv(cfg.pi / d, g)
+        lead = over[sx[over] > s[over, 0]]
+        s[lead, 0] = sx[lead]
+        s[lead, 1:] = _psi_inv((cfg.pi - x[lead]) / max(d - 1, 1), g)[:, None]
+    B[:, :-1] = 1 - np.clip(np.expm1(S - s.cumsum(axis=1)) / pa, 0.0, 1.0)
+    return B
 
 
 def _best_per_bin(
@@ -412,20 +248,50 @@ def _best_per_bin(
 ) -> list[tuple[float, float, int, PowerAllocation]]:
     """(x, y, scheme, alloc) of the best allocation at each fast rate x.
 
-    corrected=True searches (_search_per_bin).  Under the printed terms the
-    optimum is known and one _scheme2_batch call evaluates all of scheme 2:
-    - scheme 1 is the point (b1, b2, b3) = (0, 1, 1), which has both the
-      largest fast cap I and the largest sum cap 2I of the scheme;
-    - scheme 2 is the top vector of u0(x) in every bin with x <= pi.  With
-      h(u) = 1/2 log2(1 + uP), round d >= 1 is at most h(u_{d-1}) - h(u_d),
-      so the middle rounds and the final term add up to at most h(u0), which
-      empty middle layers reach at no extra load: y = h(u0(x)) whatever d_max.
+    Scheme 1: under the printed terms the point (b1, b2, b3) = (0, 1, 1),
+    which has both the largest fast cap I and the largest sum cap 2I; under
+    the corrected ones the best row of the n = 64 _scheme1_table that
+    reaches x (first index on ties).
+
+    Scheme 2 is known in closed form, and one _scheme2_batch call evaluates
+    _scheme2_vectors in every bin with x <= pi.
+
+    Printed terms: with h(u) = 1/2 log2(1 + uP), round d >= 1 is at most
+    h(u_{d-1}) - h(u_d), so the middle rounds and the final term add up to
+    at most h(u0), which the top vector of u0(x) (empty middle layers)
+    reaches at no extra load: y = h(u0(x)) whatever d_max.
+
+    Corrected terms: let L = d_max + 1, T = B_{L-1}, u_d = T - B_d
+    (u_{-1} = T, u_{L-1} = 0), a_d = 1 + u_d P(1 + a^2), g = a^2/(1 + a^2)
+    and s_d = ln(a_{d-1}/a_d) >= 0.  Every round term
+    cf_chain_term(B_{d-1}, B_d, T) (d = 0..L-2; d = 0 is the fast cap) and
+    the final term cf_final_term_corrected(B_{L-2}, T) equal
+    psi(s_d) = -1/2 log2(g + (1 - g) e^{-s_d}), increasing and concave in
+    s_d, and the steps add up to ln(1 + T P(1 + a^2)).  So fast =
+    psi(s_0) >= x, load = sum_{d<L-1} psi(s_d) <= pi, sum cap =
+    sum_d psi(s_d), and:
+    - T = 1: a larger T lengthens only the final step, raising only the
+      final term;
+    - without the load cap, concavity gives L equal steps S/L, with
+      S = ln(1 + P(1 + a^2)), or, if S/L < sigma_x = psi^{-1}(x), s_0 =
+      sigma_x and equal steps after it (past S/L the sum cap falls as s_0
+      grows, since psi' falls);
+    - if that load exceeds pi, it is pinned at pi: at load l the d_max
+      conferenced steps are shortest (psi^{-1} is convex) at
+      psi^{-1}(l/d_max) each, or at s_0 = sigma_x and
+      psi^{-1}((l - x)/(d_max - 1)) after it when sigma_x is the longer, and
+      the sum cap l + psi(S - their sum) is concave in l, so it rises up to
+      pi.  The final step takes the rest.
+    Then B_d = 1 - (e^{S - (s_0 + ... + s_d)} - 1)/(P(1 + a^2)).  sigma_x
+    comes from the clamped u0(x), so the last bin, where x is the full fast
+    cap and sigma_x would round a hair above S, is kept.
     """
-    if corrected:
-        return _search_per_bin(cfg, want1, want2, grid_resolution, corrected)
     L = cfg.d_max + 1
     x_max = 0.0
-    if want1:
+    if want1 and corrected:
+        s1_fast, s1_sum, s1_B = _scheme1_table(cfg, 64, corrected)
+        x_max = float(np.max(s1_fast))
+    elif want1:
         s1_fast, s1_sum = _scheme1_caps(np.zeros(1), np.ones(1), np.ones(1), cfg, False)
         x_max = float(s1_fast[0])
     if want2:
@@ -433,19 +299,29 @@ def _best_per_bin(
     xs = np.unique(np.linspace(0.0, x_max if x_max >= 1e-12 else 0.0, grid_resolution + 1))
 
     bests: list[tuple[float, int, PowerAllocation | None]] = [(-np.inf, 0, None)] * len(xs)
-    if want1:
+    if want1 and corrected:
+        for i, x in enumerate(xs):
+            mask = s1_fast >= x - 1e-12
+            if np.any(mask):
+                k = int(np.argmax(np.where(mask, s1_sum, -np.inf)))
+                b1, b2, b3 = s1_B[k]
+                bests[i] = (float(s1_sum[k]), 1, PowerAllocation((b1, b2 - b1, b3 - b2)))
+    elif want1:
         bests = [(float(s1_sum[0]), 1, PowerAllocation((0.0, 1.0, 0.0)))] * len(xs)
     if want2:
         u0 = np.array([_u0(float(x), cfg) if x <= cfg.pi + 1e-12 else None for x in xs], dtype=float)
         rows = np.flatnonzero(~np.isnan(u0))
-        B = np.ones((rows.size, L))
-        B[:, :-1] = 1 - u0[rows, None]
-        r_fast, conf, tot = _scheme2_batch(B, cfg)
+        B = _scheme2_vectors(u0[rows], xs[rows], cfg, corrected)
+        r_fast, conf, tot = _scheme2_batch(B, cfg, corrected)
         ok = (r_fast >= xs[rows] - 1e-9) & (conf <= cfg.pi + 1e-9)
         for i, b, val in zip(rows[ok], B[ok], tot[ok]):
             if val > bests[i][0]:
                 bests[i] = (float(val), 2, _alloc_from_cumulative(b))
-    return _points(xs, bests)
+    return [
+        (float(x), best_val - float(x), scheme, alloc)
+        for x, (best_val, scheme, alloc) in zip(xs, bests)
+        if alloc is not None and math.isfinite(best_val)
+    ]
 
 
 def inner_boundary(
@@ -457,8 +333,8 @@ def inner_boundary(
     """Sweep the achievable boundary on a fast-rate grid.
 
     For each target fast rate the best sum cap over all feasible allocations
-    is found (in closed form under the printed terms, by lattice plus lockstep
-    coordinate descent when corrected, see _best_per_bin), then the
+    is found (in closed form, apart from the table of corrected scheme 1, see
+    _best_per_bin), then the
     pointwise-best of the requested schemes is closed under time sharing
     (upper concave envelope).  The rate-transfer closure is implicit:
     transferring fast rate to slow moves along the same sum line.
@@ -581,30 +457,14 @@ def rate_transfer_closure(region: Region) -> Region:
     return Region(vertices=tuple(merged), kind="polyline", degenerate=region.degenerate)
 
 
-def _search_slow_rate(cfg: NetworkConfig, corrected: bool) -> tuple[float, PowerAllocation]:
-    """Best scheme-2 sum cap at zero fast rate: lattice best, then descents.
-
-    The all-zero lattice vector has no load, so the lattice best exists.
-    """
-    grid, _, conf, tot = _scheme2_lattice(cfg, corrected)
-    k = int(np.argmax(np.where(conf <= cfg.pi + 1e-9, tot, -np.inf)))
-    best_val, best_B = float(tot[k]), grid[k]
-    seeds = _scheme2_candidates(cfg, 0.0, best_B)
-    vals, Bs = _coordinate_descent(np.reshape(seeds, (-1, cfg.d_max + 1)), cfg, 0.0, corrected)
-    for val, B in zip(vals, Bs):
-        if val > best_val:
-            best_val, best_B = float(val), B
-    return best_val, _alloc_from_cumulative(best_B)
-
-
 def best_slow_rate_scheme2(cfg: NetworkConfig, corrected: bool = False) -> tuple[float, PowerAllocation]:
     """Best slow rate of scheme 2 at zero fast rate (the region's y-intercept).
 
-    Returns the optimiser value and its witness allocation.  Under the
-    printed terms this is 1/2 log2(1 + P) with all power on the top layer
-    (see _best_per_bin); corrected=True searches.
+    Returns the optimum and its witness allocation, the x = 0 bin of
+    _best_per_bin: under the printed terms 1/2 log2(1 + P) with all power on
+    the top layer; under the corrected ones the equal steps, or the steps
+    that pin the load at pi.
     """
     validate_config(cfg)
-    if corrected:
-        return _search_slow_rate(cfg, corrected)
-    return 0.5 * math.log2(1 + cfg.p), PowerAllocation((0.0,) * cfg.d_max + (1.0,))
+    B = _scheme2_vectors(np.array([_u0(0.0, cfg)]), np.zeros(1), cfg, corrected)
+    return float(_scheme2_batch(B, cfg, corrected)[2][0]), _alloc_from_cumulative(B[0])

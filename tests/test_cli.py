@@ -349,10 +349,10 @@ def _manifest(tmp_path, capsys, argv):
 _ABSENT = object()
 
 
-def _rerun_doc(tmp_path, capsys, doc):
+def _rerun_doc(tmp_path, capsys, doc, out=True):
     path = tmp_path / "edited.manifest.json"
     path.write_text(json.dumps(doc))
-    return run_cli(["rerun", str(path), "--out", str(tmp_path / "redone")], capsys)
+    return run_cli(["rerun", str(path), *(["--out", str(tmp_path / "redone")] if out else [])], capsys)
 
 
 class TestMalformedManifest:
@@ -380,6 +380,26 @@ class TestMalformedManifest:
         code, _, err = _rerun_doc(tmp_path, capsys, doc)
         assert code == 2
         assert field in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("grid", "64"), ("grid", None), ("grid", 12.5), ("grid", True), ("corrected", "no"), ("corrected", 1),
+    ])
+    def test_region_inner_param(self, tmp_path, capsys, key, value):
+        doc = _manifest(tmp_path, capsys, ["region", "inner", "--scheme", "2", "--grid", "16", "--dmax", "2"])
+        doc["params"][key] = value
+        code, _, err = _rerun_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"{key} must be" in err
+
+    @pytest.mark.parametrize("argv", [["region", "inner", "--grid", "16"], ["simulate", "tx", "--k", "12", "--dmax", "2"]],
+                             ids=["region", "simulate"])
+    def test_out_not_a_path(self, tmp_path, capsys, argv):
+        # an int out would open that file descriptor; it must fail before any open
+        doc = _manifest(tmp_path, capsys, argv)
+        doc["params"]["out"] = 7
+        code, _, err = _rerun_doc(tmp_path, capsys, doc, out=False)
+        assert code == 2
+        assert "out must be str or NoneType, got 7" in err
 
     def test_region_outer_null_k(self, tmp_path, capsys):
         doc = _manifest(tmp_path, capsys, ["region", "outer", "--k", "3"])

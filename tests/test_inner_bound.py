@@ -1,5 +1,13 @@
+import itertools
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softhandoff.gaussian_mi import (
     PowerAllocation,
@@ -13,9 +21,6 @@ from softhandoff.inner_bound import (
     _best_per_bin,
     _scheme1_table,
     _scheme2_batch,
-    _scheme2_lattice,
-    _search_per_bin,
-    _search_slow_rate,
     _u0,
     best_slow_rate_scheme2,
     eval_scheme1,
@@ -25,6 +30,7 @@ from softhandoff.inner_bound import (
     rate_transfer_closure,
 )
 from softhandoff.model import NetworkConfig, Region
+from softhandoff.outer_bound import outer_constraints
 
 HALF_LOG2_6 = 1.292481250360578
 I_XY = 1.1846169048328596
@@ -251,40 +257,75 @@ class TestScheme2Batch:
                     assert np.array_equal(g, w)
 
 
-def _descend_one(B0, cfg, x_target, corrected, n_line=25, sweeps=40):
-    """Reference: one coordinate descent on its own, one line search per call."""
+# ---------------------------------------------------------------------------
+# Reference: the lattice plus lockstep coordinate-descent search that
+# inner_bound ran before the optimum was known in closed form.  It returns a
+# feasible allocation per bin, so the closed form must match or beat it.
+# ---------------------------------------------------------------------------
 
-    def value(Bm):
-        r_fast, conf, tot = _scheme2_batch(Bm, cfg, corrected)
-        ok = (r_fast >= x_target - 1e-9) & (conf <= cfg.pi + 1e-9)
+def _scheme2_lattice(cfg, corrected, budget=25_000):
+    """Nondecreasing lattice vectors in [0,1]^L at the finest enumerable step,
+    with their (r_fast, conf_load, total) evaluated in blocks of rows."""
+    L = cfg.d_max + 1
+    n = 1
+    while math.comb(n + 1 + L, L) <= budget:
+        n += 1
+    B = np.array(list(itertools.combinations_with_replacement(range(n + 1), L)), dtype=float) / n
+    return (B, *_scheme2_blocks(B, cfg, corrected))
+
+
+def _scheme2_blocks(B, cfg, corrected, block=2048):
+    vals = np.empty((3, len(B)))
+    for i in range(0, len(B), block):
+        vals[:, i:i + block] = _scheme2_batch(B[i:i + block], cfg, corrected)
+    return vals
+
+
+def _coordinate_descent(B0, cfg, x_target, corrected=False, n_line=25, sweeps=40):
+    """Lockstep coordinate descents from the seed rows of B0, each keeping its
+    fast cap at least x_target and its load within pi; (best, B) per row."""
+    B = np.array(B0, dtype=float)
+    m, L = B.shape
+    x_row = np.broadcast_to(np.asarray(x_target, dtype=float), (m,))
+
+    def value(Bm, x):
+        r_fast, conf, tot = _scheme2_blocks(Bm, cfg, corrected)
+        ok = (r_fast >= x - 1e-9) & (conf <= cfg.pi + 1e-9)
         return np.where(ok, tot, -np.inf)
 
-    B = B0.copy()
-    best = value(B[None, :])[0]
-    if not np.isfinite(best):
-        return None
-    L = len(B)
+    best = value(B, x_row)
+    live = np.flatnonzero(np.isfinite(best))
+    steps = np.arange(n_line, dtype=float)
     for _ in range(sweeps):
-        improved = False
-        for j in range(L):
-            lo = float(B[j - 1]) if j > 0 else 0.0
-            hi = float(B[j + 1]) if j < L - 1 else 1.0
-            if hi - lo < 1e-14:
-                continue
-            Bm = np.tile(B, (n_line, 1))
-            Bm[:, j] = np.linspace(lo, hi, n_line)
-            vals = value(Bm)
-            k = int(vals.argmax())
-            if vals[k] > best + 1e-13:
-                best = float(vals[k])
-                B = Bm[k]
-                improved = True
-        if not improved:
+        if not live.size:
             break
+        improved = np.zeros(live.size, dtype=bool)
+        for j in range(L):
+            lo = B[live, j - 1] if j > 0 else np.zeros(live.size)
+            hi = B[live, j + 1] if j < L - 1 else np.ones(live.size)
+            act = ~(hi - lo < 1e-14)
+            if not act.any():
+                continue
+            rows, lo, hi = live[act], lo[act], hi[act]
+            n = rows.size
+            Bm = np.empty((n, n_line, L))
+            Bm[:] = B[rows, None, :]
+            Bm[:, :, j] = steps * ((hi - lo) / (n_line - 1))[:, None] + lo[:, None]
+            Bm[:, -1, j] = hi
+            x = np.repeat(x_row[rows], n_line)
+            vals = value(Bm.reshape(n * n_line, L), x).reshape(n, n_line)
+            k = vals.argmax(axis=1)
+            top = vals[np.arange(n), k]
+            up = top > best[rows] + 1e-13
+            best[rows[up]] = top[up]
+            B[rows[up]] = Bm[up, k[up]]
+            improved[act] |= up
+        live = live[improved]
     return best, B
 
 
-def _reference_seeds(cfg, x, grid_best, warm):
+def _scheme2_candidates(cfg, x, grid_best):
+    """Top, linspace and lattice seeds for the bin at fast rate x."""
     L = cfg.d_max + 1
     seeds = []
     u0 = _u0(x, cfg)
@@ -297,73 +338,81 @@ def _reference_seeds(cfg, x, grid_best, warm):
             seeds.append(np.concatenate([[b1], np.linspace(b1, 1.0, L)[1:]]))
     if grid_best is not None:
         seeds.append(grid_best)
-    if warm is not None:
-        seeds.append(warm)
     return seeds
 
 
-def _reference_best_per_bin(cfg, want1, want2, grid_resolution, corrected):
-    """Reference: bin by bin, each seed descended on its own with warm start."""
+def _search_per_bin(cfg, want1, want2, grid_resolution, corrected):
+    """(x, y, scheme, alloc) per bin: tables, then the top, linspace and
+    lattice seeds of every bin with x <= pi descended in lockstep, then a
+    warm seed (the last descent that won a bin) bin by bin."""
     if want1:
         s1_fast, s1_sum, s1_B = _scheme1_table(cfg, 64, corrected)
     if want2:
         s2_B, s2_fast, s2_conf, s2_sum = _scheme2_lattice(cfg, corrected)
-    x_max = 0.0
-    if want1:
-        x_max = max(x_max, float(np.max(s1_fast)))
+    x_max = float(np.max(s1_fast)) if want1 else 0.0
     if want2:
         feas = s2_conf <= cfg.pi + 1e-9
-        if np.any(feas):
-            x2 = max(float(np.max(s2_fast[feas])), min(cfg.pi, float(np.max(s2_fast))))
-            x_max = max(x_max, x2)
-    if x_max < 1e-12:
-        x_max = 0.0
-    raw = []
-    warm = None
-    for x in np.unique(np.linspace(0.0, x_max, grid_resolution + 1)):
-        best_val, best_scheme, best_alloc = -np.inf, 0, None
+        x2 = max(float(np.max(s2_fast[feas])), min(cfg.pi, float(np.max(s2_fast))))
+        x_max = max(x_max, x2)
+    xs = np.unique(np.linspace(0.0, x_max if x_max >= 1e-12 else 0.0, grid_resolution + 1))
+
+    bests, grid_best = [], []
+    for x in xs:
+        best = (-np.inf, 0, None)
+        grid_best_B = None
         if want1:
             mask = s1_fast >= x - 1e-12
             if np.any(mask):
                 k = int(np.argmax(np.where(mask, s1_sum, -np.inf)))
-                if s1_sum[k] > best_val:
-                    best_val, best_scheme = float(s1_sum[k]), 1
-                    b1, b2, b3 = s1_B[k]
-                    best_alloc = PowerAllocation((b1, b2 - b1, b3 - b2))
+                b1, b2, b3 = s1_B[k]
+                best = (float(s1_sum[k]), 1, PowerAllocation((b1, b2 - b1, b3 - b2)))
         if want2:
-            grid_best_B = None
             mask = (s2_fast >= x - 1e-12) & (s2_conf <= cfg.pi + 1e-9)
             if np.any(mask):
                 k = int(np.argmax(np.where(mask, s2_sum, -np.inf)))
                 grid_best_B = s2_B[k]
-                if s2_sum[k] > best_val:
-                    best_val, best_scheme = float(s2_sum[k]), 2
-                    best_alloc = _alloc_from_cumulative(s2_B[k])
-            if x <= cfg.pi + 1e-12:
-                for seed in _reference_seeds(cfg, float(x), grid_best_B, warm):
-                    out = _descend_one(seed, cfg, float(x), corrected)
-                    if out is not None and out[0] > best_val + 1e-13:
-                        best_val, best_scheme = out[0], 2
-                        best_alloc = _alloc_from_cumulative(out[1])
-                        warm = out[1]
-        if best_alloc is not None and np.isfinite(best_val):
-            raw.append((float(x), best_val - float(x), best_scheme, best_alloc))
-    return raw
+                if s2_sum[k] > best[0]:
+                    best = (float(s2_sum[k]), 2, _alloc_from_cumulative(s2_B[k]))
+        bests.append(best)
+        grid_best.append(grid_best_B)
+
+    if want2:
+        L = cfg.d_max + 1
+        refined = [i for i, x in enumerate(xs) if x <= cfg.pi + 1e-12]
+        seeds = [_scheme2_candidates(cfg, float(xs[i]), grid_best[i]) for i in refined]
+        owner = [i for i, s in zip(refined, seeds) for _ in s]
+        vals, Bs = _coordinate_descent(
+            np.reshape([b for s in seeds for b in s], (-1, L)), cfg, xs[owner], corrected
+        )
+        warm = None
+        start = 0
+        for i, s in zip(refined, seeds):
+            results = list(zip(vals[start:start + len(s)], Bs[start:start + len(s)]))
+            start += len(s)
+            if warm is not None:
+                val, B = _coordinate_descent(warm[None, :], cfg, xs[i], corrected)
+                results.append((val[0], B[0]))
+            for val, B in results:
+                if val > bests[i][0] + 1e-13:
+                    bests[i] = (float(val), 2, _alloc_from_cumulative(B))
+                    warm = B
+    return [
+        (float(x), val - float(x), scheme, alloc)
+        for x, (val, scheme, alloc) in zip(xs, bests)
+        if alloc is not None and math.isfinite(val)
+    ]
 
 
-def _reference_best_slow_rate(cfg, corrected):
+def _search_slow_rate(cfg, corrected):
+    """Best scheme-2 sum cap at zero fast rate: lattice best, then descents."""
     grid, _, conf, tot = _scheme2_lattice(cfg, corrected)
-    mask = conf <= cfg.pi + 1e-9
-    best_val, best_B = -np.inf, None
-    if np.any(mask):
-        k = int(np.argmax(np.where(mask, tot, -np.inf)))
-        best_val, best_B = float(tot[k]), grid[k]
-    for seed in _reference_seeds(cfg, 0.0, best_B, None):
-        out = _descend_one(seed, cfg, 0.0, corrected)
-        if out is not None and out[0] > best_val:
-            best_val, best_B = out
-    if best_B is None:
-        return 0.0, PowerAllocation(tuple([0.0] * (cfg.d_max + 1)))
+    k = int(np.argmax(np.where(conf <= cfg.pi + 1e-9, tot, -np.inf)))
+    best_val, best_B = float(tot[k]), grid[k]
+    seeds = _scheme2_candidates(cfg, 0.0, best_B)
+    vals, Bs = _coordinate_descent(np.reshape(seeds, (-1, cfg.d_max + 1)), cfg, 0.0, corrected)
+    for val, B in zip(vals, Bs):
+        if val > best_val:
+            best_val, best_B = float(val), B
     return best_val, _alloc_from_cumulative(best_B)
 
 
@@ -381,64 +430,7 @@ def _random_configs(seed, n, log10_p=(-1.0, 2.0), max_d=8):
         )
 
 
-class TestLockstepDescent:
-    """The lockstep descents reproduce the seed-by-seed search bit for bit.
-
-    The search runs on both term variants here, though inner_boundary and
-    best_slow_rate_scheme2 search only the corrected ones.
-    """
-
-    @pytest.mark.parametrize("corrected", [False, True])
-    @pytest.mark.parametrize("scheme", ["1", "2", "both"])
-    def test_bins_bit_identical_to_seed_by_seed(self, scheme, corrected):
-        want1, want2 = scheme in ("1", "both"), scheme in ("2", "both")
-        seed = {"1": 10, "2": 20, "both": 30}[scheme] + corrected
-        for cfg, grid in _random_configs(seed, 4):
-            got = _search_per_bin(cfg, want1, want2, grid, corrected)
-            want = _reference_best_per_bin(cfg, want1, want2, grid, corrected)
-            assert len(got) == len(want) > 0, cfg
-            for g, w in zip(got, want):
-                assert np.array_equal(g[:2], w[:2]), cfg
-                assert g[2] == w[2], cfg
-                assert np.array_equal(g[3].fractions, w[3].fractions), cfg
-
-    @pytest.mark.parametrize("corrected", [False, True])
-    def test_best_slow_rate_bit_identical(self, corrected):
-        for cfg, _ in _random_configs(77 + corrected, 8):
-            val, alloc = _search_slow_rate(cfg, corrected)
-            ref_val, ref_alloc = _reference_best_slow_rate(cfg, corrected)
-            assert val == ref_val, cfg
-            assert alloc.fractions == ref_alloc.fractions, cfg
-
-    def test_batch_of_one_matches_batch_of_many(self):
-        cfg = NetworkConfig(alpha=-0.6, p=20.0, pi=0.8, d_max=5)
-        rng = np.random.default_rng(5)
-        seeds = np.sort(rng.uniform(0.0, 1.0, (8, 6)), axis=1)
-        xs = rng.uniform(0.0, 0.5, 8)
-        best, B = ib._coordinate_descent(seeds, cfg, xs)
-        for i in range(8):
-            one_best, one_B = ib._coordinate_descent(seeds[i:i + 1], cfg, xs[i])
-            assert one_best[0] == best[i] and np.array_equal(one_B[0], B[i])
-            ref = _descend_one(seeds[i], cfg, xs[i], False)
-            if ref is None:
-                assert best[i] == -np.inf
-            else:
-                assert ref[0] == best[i] and np.array_equal(ref[1], B[i])
-
-    def test_fig3_d10_kernel_calls(self, monkeypatch):
-        # timing-free guard: descended seed by seed, this sweep made 50,654
-        # calls; in lockstep with 2048-row blocks it makes 954
-        calls = []
-        batch = ib._scheme2_batch
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return batch(*args, **kwargs)
-
-        monkeypatch.setattr(ib, "_scheme2_batch", counted)
-        cfg = NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=10)
-        assert _search_per_bin(cfg, False, True, 64, False)
-        assert len(calls) <= 1000
+_NO_SEARCH_CASES = [(NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=10), "2"), (CFG_FIG2, "both")]
 
 
 class TestClosedForm:
@@ -473,25 +465,163 @@ class TestClosedForm:
             for a, b in zip(pts, curves[0]):
                 assert abs(a.x - b.x) <= 1e-12 and abs(a.y - b.y) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "cfg,scheme",
-        [(NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=10), "2"), (CFG_FIG2, "both")],
-        ids=["fig3_d10", "fig2"],
-    )
+    @pytest.mark.parametrize("cfg,scheme", _NO_SEARCH_CASES, ids=["fig3_d10", "fig2"])
     def test_no_search_on_printed_terms(self, monkeypatch, cfg, scheme):
-        calls = {name: 0 for name in ("_scheme2_batch", "_coordinate_descent", "_scheme2_grid", "_scheme1_table")}
+        _assert_no_search(monkeypatch, cfg, scheme, corrected=False)
 
-        def counted(name):
-            fn = getattr(ib, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+def _assert_no_search(monkeypatch, cfg, scheme, corrected):
+    """At most 2 _scheme2_batch calls per sweep, and the scheme-1 table only
+    for corrected sweeps that ask for scheme 1."""
+    calls = {name: 0 for name in ("_scheme2_batch", "_scheme1_table")}
 
-            return wrapper
+    def counted(name):
+        fn = getattr(ib, name)
 
-        for name in calls:
-            monkeypatch.setattr(ib, name, counted(name))
-        assert inner_boundary(cfg, scheme=scheme, grid_resolution=64)
-        assert calls["_scheme2_batch"] <= 2
-        assert calls["_coordinate_descent"] == calls["_scheme2_grid"] == calls["_scheme1_table"] == 0
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ib, name, counted(name))
+    assert inner_boundary(cfg, scheme=scheme, grid_resolution=64, corrected=corrected)
+    assert calls["_scheme2_batch"] <= 2
+    assert calls["_scheme1_table"] == (corrected and scheme != "2")
+
+
+def _criterion_06_configs():
+    """The configs of acceptance criterion 06 (documented counterexample plus 10 draws)."""
+    rng = np.random.default_rng(13)
+    configs = [NetworkConfig(alpha=0.2, p=100.0, pi=0.346, d_max=1)]
+    for _ in range(10):
+        configs.append(
+            NetworkConfig(
+                alpha=float(rng.uniform(0.05, 0.95)) * (1.0 if rng.random() < 0.5 else -1.0),
+                p=float(10 ** rng.uniform(-1.0, 2.0)),
+                pi=float(rng.uniform(0.0, 2.0)),
+                d_max=int(rng.integers(1, 4)),
+            )
+        )
+    return [(cfg, "both", 12) for cfg in configs]
+
+
+# (config, scheme, grid) of fig2, fig3 d4-d10 and acceptance criteria 06 and 07
+_CORRECTED_GATE = {
+    "fig2": [(CFG_FIG2, "both", 64)],
+    "fig3": [(NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=d), "2", 64) for d in (4, 6, 8, 10)],
+    "criterion06": _criterion_06_configs(),
+    "criterion07": (
+        [(NetworkConfig(alpha=0.2, p=5.0, pi=pi, d_max=2), "both", 24) for pi in (0.0, 0.25, 0.6, 1.2)]
+        + [(NetworkConfig(alpha=0.2, p=p, pi=0.5, d_max=2), "both", 24) for p in (2.0, 5.0, 10.0)]
+        + [(NetworkConfig(alpha=0.2, p=5.0, pi=1.0, d_max=d), "2", 24) for d in (1, 2, 3, 4)]
+    ),
+}
+
+SEARCH_REFERENCE = Path(__file__).parent / "golden" / "corrected_search_reference.json"
+
+
+def _seeded_corrected_configs():
+    """100 seeded corrected configs: d_max 1-16, P 1e-2..1e6, schemes 2 and both."""
+    for i, (cfg, grid) in enumerate(_random_configs(2024, 100, log10_p=(-2.0, 6.0), max_d=16)):
+        yield cfg, ("2", "both")[i % 2], grid
+
+
+def _search_reference(cfg, scheme, grid):
+    """What the search reaches on cfg under the corrected terms, as stored in SEARCH_REFERENCE."""
+    bins = _search_per_bin(cfg, scheme != "2", scheme != "1", grid, True)
+    return {
+        "alpha": cfg.alpha, "p": cfg.p, "pi": cfg.pi, "d_max": cfg.d_max, "scheme": scheme, "grid": grid,
+        "bins": [[x, y] for x, y, _, _ in bins], "slow_rate": _search_slow_rate(cfg, True)[0],
+    }
+
+
+def _assert_matches_or_beats(cfg, scheme, grid, bins, slow_rate):
+    """Every bin keeps the search's x and is at most 1e-9 below its y; the
+    slow rate too, and its witness re-derives through eval_scheme2."""
+    got = _best_per_bin(cfg, scheme != "2", scheme != "1", grid, True)
+    assert len(got) == len(bins) > 0, cfg
+    for (x, y, s, alloc), (want_x, want_y) in zip(got, bins):
+        assert x == want_x, cfg
+        assert y >= want_y - 1e-9, (cfg, x, y, want_y)
+    val, alloc = best_slow_rate_scheme2(cfg, corrected=True)
+    assert val >= slow_rate - 1e-9, cfg
+    ev = eval_scheme2(alloc, cfg, corrected=True)
+    assert ev.feasible and abs(ev.r_sum_cap - val) <= 1e-9, cfg
+
+
+class TestCorrectedClosedForm:
+    """Under the corrected terms the closed form matches or beats the search."""
+
+    @pytest.mark.parametrize("group", sorted(_CORRECTED_GATE))
+    def test_matches_or_beats_search(self, group):
+        for cfg, scheme, grid in _CORRECTED_GATE[group]:
+            want = _search_reference(cfg, scheme, grid)
+            _assert_matches_or_beats(cfg, scheme, grid, want["bins"], want["slow_rate"])
+
+    def test_matches_or_beats_stored_search(self):
+        """The 100 seeded configs, against the search's stored results (the
+        search takes about 15 s on them; rewrite the file with
+        `PYTHONPATH=src python tests/test_inner_bound.py`)."""
+        stored = json.loads(SEARCH_REFERENCE.read_text())
+        configs = list(_seeded_corrected_configs())
+        assert len(stored) == len(configs) == 100
+        for (cfg, scheme, grid), want in zip(configs, stored):
+            assert (want["alpha"], want["p"], want["pi"], want["d_max"]) == (cfg.alpha, cfg.p, cfg.pi, cfg.d_max)
+            assert (want["scheme"], want["grid"]) == (scheme, grid)
+            _assert_matches_or_beats(cfg, scheme, grid, want["bins"], want["slow_rate"])
+
+    def test_stored_search_is_the_search(self):
+        stored = json.loads(SEARCH_REFERENCE.read_text())
+        for i, (cfg, scheme, grid) in enumerate(_seeded_corrected_configs()):
+            if i % 25 == 0:
+                assert _search_reference(cfg, scheme, grid) == stored[i], cfg
+
+    @pytest.mark.parametrize("cfg,scheme", _NO_SEARCH_CASES, ids=["fig3_d10", "fig2"])
+    def test_no_search_on_corrected_terms(self, monkeypatch, cfg, scheme):
+        _assert_no_search(monkeypatch, cfg, scheme, corrected=True)
+
+    def test_grows_with_dmax(self):
+        # unlike the printed boundary, the corrected one gains from more rounds
+        ys = [inner_boundary(NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=d), "2", 16, corrected=True)[0].y
+              for d in (1, 4, 10)]
+        assert ys[0] < ys[1] < ys[2]
+
+
+_ALPHAS = st.floats(0.02, 0.98).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(alpha=_ALPHAS, log_p=st.floats(-2, 6), pi=st.floats(0, 3), d_max=st.integers(1, 16))
+def test_corrected_inner_boundary_within_outer_sum_bound(alpha, log_p, pi, d_max):
+    cfg = NetworkConfig(alpha=alpha, p=10 ** log_p, pi=pi, d_max=d_max)
+    cap = outer_constraints(cfg).sum_cap
+    for pt in inner_boundary(cfg, "both", 50, corrected=True):
+        assert pt.x + pt.y <= cap + 1e-9
+
+
+def _corrected_scheme2_at(cfg, xs):
+    """(r_fast, conf_load, total) of the corrected scheme-2 optimum at fast rates xs."""
+    u0 = np.array([_u0(float(x), cfg) for x in xs])
+    return _scheme2_batch(ib._scheme2_vectors(u0, xs, cfg, True), cfg, True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=_ALPHAS, log_p=st.floats(-2, 6), pi=st.floats(0, 3), d_max=st.integers(1, 15),
+    more_pi=st.floats(0, 1), more_d=st.integers(1, 15),
+)
+def test_corrected_scheme2_bins_grow_with_dmax_and_pi(alpha, log_p, pi, d_max, more_pi, more_d):
+    cfg = NetworkConfig(alpha=alpha, p=10 ** log_p, pi=pi, d_max=d_max)
+    xs = np.array([x for x, *_ in _best_per_bin(cfg, False, True, 24, True)])
+    base = _corrected_scheme2_at(cfg, xs)[2]
+    for bigger in (replace(cfg, d_max=min(d_max + more_d, 16)), replace(cfg, pi=pi + more_pi)):
+        r_fast, conf, tot = _corrected_scheme2_at(bigger, xs)
+        assert np.all(r_fast >= xs - 1e-9) and np.all(conf <= bigger.pi + 1e-9)
+        assert np.all(tot >= base - 1e-9), bigger
+
+
+if __name__ == "__main__":  # one config per line
+    rows = [json.dumps(_search_reference(*c)) for c in _seeded_corrected_configs()]
+    SEARCH_REFERENCE.write_text("[\n" + ",\n".join(rows) + "\n]\n")
