@@ -73,8 +73,7 @@ def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]],
 
 
 def _write_manifest(command: str, params: dict, outputs: list[str]) -> str:
-    base = outputs[0] if outputs else os.path.join(_outdir(), command)
-    path = base + ".manifest.json"
+    path = outputs[0] + ".manifest.json"
     doc = {
         "command": command,
         "params": params,
@@ -166,8 +165,7 @@ def _run_simulate(params: dict) -> list[str]:
     prefix = _checked(params, "out", None, str, type(None)) or os.path.join(_outdir(), f"simulate_{mode}")
     ladder = _parse_ladder(params["p_ladder"])
     validate_p_ladder(ladder)
-    cfg = validate_config(NetworkConfig(alpha=params["alpha"], p=ladder[-1], k=k, pi=params.get("pi", 0.0),
-                                        d_max=d_max))
+    cfg = validate_config(NetworkConfig(alpha=params["alpha"], p=ladder[-1], k=k, d_max=d_max))
     pattern = build_silencing(k, d_max)
     _, rows, report = _convergence(_layout(pattern, mode), cfg, ladder)  # report: the top power's
 
@@ -184,7 +182,7 @@ def _run_simulate(params: dict) -> list[str]:
     return [rates_path, events_path, conv_path]
 
 
-def _run_compare(params: dict, stream) -> list[str]:
+def _run_compare(params: dict, stream) -> None:
     label = params["label"]
     ref = get_reference(label)
     path = params["csv"]
@@ -223,7 +221,6 @@ def _run_compare(params: dict, stream) -> list[str]:
             "from the printed bound formulas, deviations are informational",
             file=stream,
         )
-    return []
 
 
 def _dispatch(command: str, params: dict, stream) -> int:
@@ -270,7 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     sim.add_argument("--k", type=int, required=True)
     sim.add_argument("--dmax", type=int, required=True)
     sim.add_argument("--alpha", type=float, default=0.5)
-    sim.add_argument("--pi", type=float, default=0.0)
     sim.add_argument("--p-ladder", dest="p_ladder", default="1e2,1e4,1e6")
     sim.add_argument("--out")
 
@@ -283,39 +279,24 @@ def main(argv: list[str] | None = None) -> int:
     rer.add_argument("--out")
 
     try:
-        args = ap.parse_args(argv)
-        if args.command == "rerun":
-            with open(args.manifest) as fh:
+        params = vars(ap.parse_args(argv))  # the dest names are the manifest keys
+        command = params.pop("command")
+        if command == "rerun":
+            with open(params["manifest"]) as fh:
                 doc = json.load(fh)
             if not (isinstance(doc, dict) and isinstance(doc.get("command"), str)
                     and isinstance(doc.get("params"), dict)):
                 raise ValueError("manifest must be a JSON object with a command string and a params object")
-            params = dict(doc["params"])
-            if args.out:
-                params["out"] = args.out
+            out, params = params["out"], dict(doc["params"])
+            if out:
+                params["out"] = out
             try:
                 return _dispatch(doc["command"], params, sys.stdout)
             except KeyError as err:  # the first param the command reads and the manifest lacks
                 raise ValueError(f"manifest params lack {err}") from None
-
-        if args.command == "region":
-            params = {
-                "kind": args.kind, "k": args.k, "p": args.p, "alpha": args.alpha,
-                "pi": args.pi, "dmax": args.dmax, "mu": args.mu, "mode": args.mode,
-                "scheme": args.scheme, "grid": args.grid, "corrected": args.corrected,
-                "out": args.out,
-            }
-            return _dispatch("region", params, sys.stdout)
-        if args.command == "simulate":
-            params = {
-                "mode": args.mode, "k": args.k, "dmax": args.dmax, "alpha": args.alpha,
-                "pi": args.pi, "p_ladder": _parse_ladder(str(args.p_ladder).split(",")),
-                "out": args.out,
-            }
-            return _dispatch("simulate", params, sys.stdout)
-        if args.command == "compare":
-            return _dispatch("compare", {"label": args.label, "csv": args.csv}, sys.stdout)
-        raise ValueError(f"unknown command {args.command!r}")
+        if command == "simulate":
+            params["p_ladder"] = _parse_ladder(params["p_ladder"].split(","))
+        return _dispatch(command, params, sys.stdout)
     except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

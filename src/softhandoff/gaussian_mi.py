@@ -11,7 +11,10 @@ term reduces to index groups over the base variables
 
 and evaluates in closed form from log-determinants.  A Monte-Carlo estimator
 built on empirical second moments and Schur-complement conditional entropies
-serves as an independent oracle for the determinant path.
+serves as an independent oracle for the determinant path.  The vectorised
+region sweep uses four closed forms in cumulative powers (cf_*); one of them,
+cf_chain_term, gives every conferencing round, both fast caps and the
+decode-consistent final term.
 """
 from __future__ import annotations
 
@@ -59,8 +62,8 @@ class PowerAllocation:
         object.__setattr__(self, "fractions", fr)
         if not fr:
             raise ValueError("allocation needs at least one layer")
-        if any(b < 0 for b in fr):
-            raise ValueError("layer fractions must be nonnegative")
+        if any(not b >= 0 for b in fr):  # catches NaN too
+            raise ValueError("layer fractions must be nonnegative numbers")
         if sum(fr) > 1 + 1e-12:
             raise ValueError("layer fractions must sum to at most 1")
 
@@ -376,14 +379,6 @@ def scheme2_terms(alloc: PowerAllocation, cfg: NetworkConfig) -> SchemeTwoTerms:
 # determinant path to 1e-9 by the test suite)
 # ---------------------------------------------------------------------------
 
-def cf_cum_vs_y(b_level, b_total, p, alpha):
-    """I(depth auxiliary; Y) for cumulative power b_level out of b_total."""
-    a2 = alpha * alpha
-    num = 1 + b_total * p * (1 + a2)
-    den = 1 + (b_total - b_level) * p + a2 * b_total * p
-    return 0.5 * np.log2(num / den)
-
-
 def cf_cum_vs_y_cond(b_low, b_high, b_total, p, alpha):
     """I(depth-high auxiliary; Y | depth-low auxiliary)."""
     a2 = alpha * alpha
@@ -409,8 +404,13 @@ def cf_chain_term(b_low, b_high, b_total, p, alpha):
     """Round term I(V_d; Y, V'_{d-1} | V_{d-1}) between cumulative depths.
 
     The neighbour is cancelled up to depth b_low; the new own layer spans
-    (b_low, b_high].  b_low = 0 recovers I(U; Y) of the first layer (zero
-    depth of side information cancels nothing, so the formula coincides).
+    (b_low, b_high].  Its two edge cases are the other terms of that form:
+    b_low = 0 gives I(depth-b_high auxiliary; Y), the first layer's I(U; Y)
+    and scheme 1's fast cap I(U2; Y) (zero depth of side information cancels
+    nothing); b_high = b_total gives the corrected final term
+    I(X; Y, V'_{top-1} | top chain level), where the neighbour's own top
+    layer stays as residual interference (decode-consistent side
+    information).
     """
     a2 = alpha * alpha
     num = 1 + (b_total - b_low) * p * (1 + a2)
@@ -421,12 +421,3 @@ def cf_chain_term(b_low, b_high, b_total, p, alpha):
 def cf_final_term(b_last, b_total, p):
     """I(X; Y, X' | top chain level): interference fully cancelled."""
     return 0.5 * np.log2(1 + (b_total - b_last) * p)
-
-
-def cf_final_term_corrected(b_last, b_total, p, alpha):
-    """I(X; Y, V'_{top-1} | top chain level): the neighbour's own top layer
-    stays as residual interference (decode-consistent side information)."""
-    a2 = alpha * alpha
-    num = 1 + (b_total - b_last) * p * (1 + a2)
-    den = 1 + a2 * (b_total - b_last) * p
-    return 0.5 * np.log2(num / den)

@@ -6,14 +6,15 @@ relaxes the fast constraint.  Scheme 2 (d_max rounds, d_max+1 layers): the
 fast message rides the bottom layer and slow parts unlock round by round; the
 total of all conferenced parts must fit in pi.
 
-The region sweep works in cumulative-power space with vectorised closed
-forms; the per-allocation evaluators go through the log-determinant path so
-the two routes cross-check each other.  The best scheme-2 allocation of every
-fast-rate bin is known in closed form under both the printed and the
+The region sweep works in cumulative-power space, where every round term,
+scheme 1's fast cap and the corrected final term are one closed form,
+cf_chain_term; the per-allocation evaluators go through the log-determinant
+path so the two routes cross-check each other.  The best scheme-2 allocation
+of every fast-rate bin is known in closed form under both the printed and the
 corrected rate terms (see _best_per_bin), so scheme 2 is one vectorised
-evaluation per sweep; only corrected scheme 1 reads a fixed 3-layer table.
-Boundaries carry witness allocations so that every reported point can be
-re-derived.
+evaluation per sweep; scheme 1 picks every bin's row of a 3-layer table in
+one sorted pass.  Boundaries carry witness allocations so that every
+reported point can be re-derived.
 """
 from __future__ import annotations
 
@@ -25,10 +26,8 @@ import numpy as np
 from .gaussian_mi import (
     PowerAllocation,
     cf_chain_term,
-    cf_cum_vs_y,
     cf_cum_vs_y_cond,
     cf_final_term,
-    cf_final_term_corrected,
     cf_scheme1_slow,
     scheme1_terms,
     scheme2_terms,
@@ -113,7 +112,7 @@ def eval_scheme2(
 def _scheme1_caps(b1, b2, b3, cfg: NetworkConfig, corrected: bool):
     """(r_fast, r_sum) of scheme 1 at cumulative powers b1 <= b2 <= b3 (arrays)."""
     p, a = cfg.p, cfg.alpha
-    fast = np.minimum(cf_cum_vs_y(b2, b3, p, a), cf_cum_vs_y_cond(b1, b2, b3, p, a) + cfg.pi)
+    fast = np.minimum(cf_chain_term(0, b2, b3, p, a), cf_cum_vs_y_cond(b1, b2, b3, p, a) + cfg.pi)
     b_cond = b2 if corrected else b1
     return fast, fast + cf_scheme1_slow(b_cond, b1, b3, p, a)
 
@@ -137,35 +136,32 @@ def _scheme1_table(cfg: NetworkConfig, n: int, corrected: bool):
 def _scheme2_batch(B: np.ndarray, cfg: NetworkConfig, corrected: bool = False):
     """(r_fast, conf_load, total) for a batch of cumulative vectors B (m, L).
 
-    One broadcast cf_chain_term call gives every round term: column d pairs
-    (B_{d-1}, B_d) for d = 0..L-2 with B_{-1} = 0, so column 0 is the fast
-    cap.  The load is a strict left-to-right cumulative sum over the columns
-    (np.sum's pairwise order would change low bits), which keeps it
-    bit-identical to adding the rounds one by one.
+    One broadcast cf_chain_term call gives every term: column d pairs
+    (B_{d-1}, B_d) for d = 0..L-1 with B_{-1} = 0, so column 0 is the fast
+    cap, columns 0..L-2 are the rounds and column L-1 (B_{L-1} = T) is the
+    corrected final term.  The load is a strict left-to-right cumulative sum
+    over the rounds (np.sum's pairwise order would change low bits), which
+    keeps it bit-identical to adding them one by one.
     """
-    p, a = cfg.p, cfg.alpha
-    total_pow = B[:, -1:]
-    b_high = B[:, :-1]
-    b_low = np.zeros(b_high.shape)
-    b_low[:, 1:] = B[:, :-2]
-    terms = cf_chain_term(b_low, b_high, total_pow, p, a)
-    conf = terms.cumsum(axis=1)[:, -1]
-    if corrected:
-        final = cf_final_term_corrected(B[:, -2], B[:, -1], p, a)
-    else:
-        final = cf_final_term(B[:, -2], B[:, -1], p)
+    p = cfg.p
+    b_low = np.zeros(B.shape)
+    b_low[:, 1:] = B[:, :-1]
+    terms = cf_chain_term(b_low, B, B[:, -1:], p, cfg.alpha)
+    conf = terms[:, :-1].cumsum(axis=1)[:, -1]
+    final = terms[:, -1] if corrected else cf_final_term(B[:, -2], B[:, -1], p)
     return terms[:, 0], conf, conf + final
 
 
-def _u0(x: float, cfg: NetworkConfig) -> float | None:
+def _u0(xs: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
     """Power above depth 0, in [0, 1], that leaves fast rate x at full total
-    power (None when x exceeds that fast cap); the scheme-2 "top" vector
-    (1 - u0, ..., 1 - u0, 1) puts all of it on the top layer."""
+    power, per x of xs: nan beyond that fast cap, but never at x = 0, where
+    the formula cancels at tiny P.  The scheme-2 "top" vector
+    (1 - u0, ..., 1 - u0, 1) puts all of it on the top layer.  4^x is a
+    Python float power per element, as numpy's differs in the last bit."""
     p, a = cfg.p, cfg.alpha
-    u0 = ((1 + p * (1 + a * a)) / (4.0 ** x) - 1 - a * a * p) / p
-    if 1 - u0 > 1 + 1e-9:
-        return None
-    return min(max(u0, 0.0), 1.0)
+    c = 1 + p * (1 + a * a)
+    u0 = (np.array([c / 4.0 ** x for x in xs.tolist()]) - 1 - a * a * p) / p
+    return np.where(1 - u0 > 1 + 1e-9, np.where(xs == 0, 1.0, np.nan), np.clip(u0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -245,16 +241,21 @@ def _scheme2_vectors(u0: np.ndarray, x: np.ndarray, cfg: NetworkConfig, correcte
 
 def _best_per_bin(
     cfg: NetworkConfig, want1: bool, want2: bool, grid_resolution: int, corrected: bool
-) -> list[tuple[float, float, int, PowerAllocation]]:
-    """(x, y, scheme, alloc) of the best allocation at each fast rate x.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, scheme, B) of the best allocation at each fast rate x, as arrays;
+    row i of B holds the cumulative powers of bin i's winner in its first 3
+    (scheme 1) or d_max + 1 (scheme 2) entries.
 
-    Scheme 1: under the printed terms the point (b1, b2, b3) = (0, 1, 1),
-    which has both the largest fast cap I and the largest sum cap 2I; under
-    the corrected ones the best row of the n = 64 _scheme1_table that
-    reaches x (first index on ties).
+    Scheme 1 reads a table of (b1, b2, b3) rows: the single row (0, 1, 1)
+    under the printed terms, which has both the largest fast cap I and the
+    largest sum cap 2I, the n = 64 _scheme1_table under the corrected ones.
+    Each bin takes the first row of largest sum cap whose fast cap reaches x:
+    with the rows sorted by sum cap, the first where the running maximum of
+    the fast cap reaches x, one searchsorted for all bins.
 
     Scheme 2 is known in closed form, and one _scheme2_batch call evaluates
-    _scheme2_vectors in every bin with x <= pi.
+    _scheme2_vectors in every bin with x <= pi; it wins a bin only with a
+    strictly larger sum cap.
 
     Printed terms: with h(u) = 1/2 log2(1 + uP), round d >= 1 is at most
     h(u_{d-1}) - h(u_d), so the middle rounds and the final term add up to
@@ -263,9 +264,9 @@ def _best_per_bin(
 
     Corrected terms: let L = d_max + 1, T = B_{L-1}, u_d = T - B_d
     (u_{-1} = T, u_{L-1} = 0), a_d = 1 + u_d P(1 + a^2), g = a^2/(1 + a^2)
-    and s_d = ln(a_{d-1}/a_d) >= 0.  Every round term
-    cf_chain_term(B_{d-1}, B_d, T) (d = 0..L-2; d = 0 is the fast cap) and
-    the final term cf_final_term_corrected(B_{L-2}, T) equal
+    and s_d = ln(a_{d-1}/a_d) >= 0.  Every term
+    cf_chain_term(B_{d-1}, B_d, T) (d = 0..L-1; d = 0 is the fast cap,
+    d = L-1 the final term) equals
     psi(s_d) = -1/2 log2(g + (1 - g) e^{-s_d}), increasing and concave in
     s_d, and the steps add up to ln(1 + T P(1 + a^2)).  So fast =
     psi(s_0) >= x, load = sum_{d<L-1} psi(s_d) <= pi, sum cap =
@@ -288,40 +289,36 @@ def _best_per_bin(
     """
     L = cfg.d_max + 1
     x_max = 0.0
-    if want1 and corrected:
-        s1_fast, s1_sum, s1_B = _scheme1_table(cfg, 64, corrected)
+    if want1:
+        if corrected:
+            s1_fast, s1_sum, s1_B = _scheme1_table(cfg, 64, corrected)
+        else:
+            s1_B = np.array([[0.0, 1.0, 1.0]])
+            s1_fast, s1_sum = _scheme1_caps(*s1_B.T, cfg, False)
         x_max = float(np.max(s1_fast))
-    elif want1:
-        s1_fast, s1_sum = _scheme1_caps(np.zeros(1), np.ones(1), np.ones(1), cfg, False)
-        x_max = float(s1_fast[0])
     if want2:
         x_max = max(x_max, min(cfg.pi, float(_scheme2_batch(np.ones((1, L)), cfg)[0][0])))
     xs = np.unique(np.linspace(0.0, x_max if x_max >= 1e-12 else 0.0, grid_resolution + 1))
 
-    bests: list[tuple[float, int, PowerAllocation | None]] = [(-np.inf, 0, None)] * len(xs)
-    if want1 and corrected:
-        for i, x in enumerate(xs):
-            mask = s1_fast >= x - 1e-12
-            if np.any(mask):
-                k = int(np.argmax(np.where(mask, s1_sum, -np.inf)))
-                b1, b2, b3 = s1_B[k]
-                bests[i] = (float(s1_sum[k]), 1, PowerAllocation((b1, b2 - b1, b3 - b2)))
-    elif want1:
-        bests = [(float(s1_sum[0]), 1, PowerAllocation((0.0, 1.0, 0.0)))] * len(xs)
+    best = np.full(len(xs), -np.inf)  # the winner's sum cap
+    scheme = np.zeros(len(xs), dtype=int)
+    B_win = np.full((len(xs), max(3 * want1, L * want2)), np.nan)
+    if want1:
+        order = np.argsort(-s1_sum, kind="stable")
+        j = np.searchsorted(np.maximum.accumulate(s1_fast[order]), xs - 1e-12)
+        hit = j < len(order)
+        k = order[j[hit]]
+        best[hit], scheme[hit], B_win[hit, :3] = s1_sum[k], 1, s1_B[k]
     if want2:
-        u0 = np.array([_u0(float(x), cfg) if x <= cfg.pi + 1e-12 else None for x in xs], dtype=float)
+        u0 = np.where(xs <= cfg.pi + 1e-12, _u0(xs, cfg), np.nan)
         rows = np.flatnonzero(~np.isnan(u0))
         B = _scheme2_vectors(u0[rows], xs[rows], cfg, corrected)
         r_fast, conf, tot = _scheme2_batch(B, cfg, corrected)
-        ok = (r_fast >= xs[rows] - 1e-9) & (conf <= cfg.pi + 1e-9)
-        for i, b, val in zip(rows[ok], B[ok], tot[ok]):
-            if val > bests[i][0]:
-                bests[i] = (float(val), 2, _alloc_from_cumulative(b))
-    return [
-        (float(x), best_val - float(x), scheme, alloc)
-        for x, (best_val, scheme, alloc) in zip(xs, bests)
-        if alloc is not None and math.isfinite(best_val)
-    ]
+        win = (r_fast >= xs[rows] - 1e-9) & (conf <= cfg.pi + 1e-9) & (tot > best[rows])
+        i = rows[win]
+        best[i], scheme[i], B_win[i, :L] = tot[win], 2, B[win]
+    keep = np.isfinite(best)
+    return xs[keep], (best - xs)[keep], scheme[keep], B_win[keep]
 
 
 def inner_boundary(
@@ -347,18 +344,18 @@ def inner_boundary(
         raise ValueError("grid_resolution must be at least 10")
     if grid_resolution > _MAX_GRID:
         raise ValueError(f"grid_resolution must be at most {_MAX_GRID}")
-    raw = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
-    if not raw:
+    pxs, pys, schemes, B = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
+    if not len(pxs):
         return []
-
-    def witness(weight: float, i: int) -> BoundaryWitness:
-        x, y, s, alloc = raw[i]
-        return BoundaryWitness(weight, s, alloc, x, y)
-
-    pxs = np.array([r[0] for r in raw])
-    pys = np.array([r[1] for r in raw])
     hull = _upper_concave_envelope(pxs, pys)
     hx = pxs[hull]
+    # every component is a hull vertex, so only those need a witness allocation
+    levels = (0, 3, cfg.d_max + 1)  # of a witness row, by scheme
+    allocs = {i: _alloc_from_cumulative(B[i, :levels[schemes[i]]]) for i in hull}
+    px, py, ps = pxs.tolist(), pys.tolist(), schemes.tolist()
+
+    def witness(weight: float, i: int) -> BoundaryWitness:
+        return BoundaryWitness(weight, ps[i], allocs[i], px[i], py[i])
 
     # the first and the last raw point are always on the hull, so every x
     # lies in a bracket [hx[j], hx[j+1]] or on the last hull point
@@ -466,5 +463,5 @@ def best_slow_rate_scheme2(cfg: NetworkConfig, corrected: bool = False) -> tuple
     that pin the load at pi.
     """
     validate_config(cfg)
-    B = _scheme2_vectors(np.array([_u0(0.0, cfg)]), np.zeros(1), cfg, corrected)
+    B = _scheme2_vectors(_u0(np.zeros(1), cfg), np.zeros(1), cfg, corrected)
     return float(_scheme2_batch(B, cfg, corrected)[2][0]), _alloc_from_cumulative(B[0])

@@ -1,4 +1,4 @@
-"""Core parameter types, rate-pair types, and 2-D convex-region geometry.
+"""Core parameter types, the prelog-pair type, and 2-D convex-region geometry.
 
 Everything downstream (bounds, multiplexing-gain polygons, simulators) shares
 the types in this module.  All rates are in bits per channel use; every log
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 __all__ = [
     "ASYMPTOTIC_K",
     "NetworkConfig",
-    "RatePair",
     "MuxPair",
     "Region",
     "validate_config",
@@ -81,20 +80,6 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
         if cfg.k < 2:
             raise ValueError("k must be at least 2")
     return cfg
-
-
-@dataclass(frozen=True)
-class RatePair:
-    """A (fast, slow) rate operating point in bits per channel use."""
-
-    r_fast: float
-    r_slow: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_fast) and math.isfinite(self.r_slow)):
-            raise ValueError("rates must be finite")
-        if self.r_fast < 0 or self.r_slow < 0:
-            raise ValueError("rates must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,8 @@ from softhandoff.conf_sim import build_silencing, conferencing_load, measure_mux
 from softhandoff.gaussian_mi import (
     PowerAllocation,
     cf_chain_term,
-    cf_cum_vs_y,
     cf_cum_vs_y_cond,
     cf_final_term,
-    cf_final_term_corrected,
     cf_scheme1_slow,
     gaussian_mi,
     layered_covariance,
@@ -98,12 +96,12 @@ def test_criterion_02_closed_form_crosscheck():
         worst = max(worst, abs(t.i_final - float(cf_final_term(B[-2], total, p))))
         worst = max(
             worst,
-            abs(t.i_final_corrected - float(cf_final_term_corrected(B[-2], total, p, a))),
+            abs(t.i_final_corrected - float(cf_chain_term(B[-2], total, total, p, a))),
         )
         if L == 3:
             s1 = scheme1_terms(alloc, cfg)
             b1, b2, b3 = B
-            worst = max(worst, abs(s1.i_u2_y - float(cf_cum_vs_y(b2, b3, p, a))))
+            worst = max(worst, abs(s1.i_u2_y - float(cf_chain_term(0.0, b2, b3, p, a))))
             worst = max(worst, abs(s1.i_u2_y_given_u1 - float(cf_cum_vs_y_cond(b1, b2, b3, p, a))))
             worst = max(worst, abs(s1.i_x_slow_given_u1 - float(cf_scheme1_slow(b1, b1, b3, p, a))))
             worst = max(worst, abs(s1.i_x_slow_given_u2 - float(cf_scheme1_slow(b2, b1, b3, p, a))))

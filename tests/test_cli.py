@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softhandoff import cli, conf_sim, inner_bound
 from softhandoff.cli import main
@@ -310,8 +316,7 @@ class TestManifestRoundTrip:
             assert code == 2
             assert "d_max must be at least 1" in err
 
-    @pytest.mark.parametrize("flag,value,field", [("--alpha", "2", "alpha"), ("--alpha", "0", "alpha"),
-                                                  ("--pi", "-1", "pi"), ("--pi", "nan", "pi")])
+    @pytest.mark.parametrize("flag,value,field", [("--alpha", "2", "alpha"), ("--alpha", "0", "alpha")])
     def test_bad_config_exits_2_before_simulating(self, tmp_path, capsys, monkeypatch, flag, value, field):
         def refuse(*args):
             raise AssertionError("built the pattern before validating the config")
@@ -333,6 +338,28 @@ class TestManifestRoundTrip:
         assert code == 2
         assert f"k must be at most {conf_sim._MAX_K}" in err
 
+    def test_pi_is_not_an_option(self, tmp_path, capsys):
+        # no simulator reads a conferencing budget: the schedule fixes the load
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "rx", "--k", "10", "--dmax", "1", "--pi", "1", "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pi 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_rerun_ignores_a_recorded_pi(self, tmp_path, capsys):
+        # simulate manifests used to carry a "pi" param that nothing read
+        prefix = tmp_path / "sim"
+        run_cli(["simulate", "tx", "--k", "12", "--dmax", "2", "--out", str(prefix)], capsys)
+        path = tmp_path / "sim_rates.csv.manifest.json"
+        doc = json.loads(path.read_text())
+        assert "pi" not in doc["params"]
+        doc["params"]["pi"] = 0.0
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        code, _, _ = run_cli(["rerun", str(path), "--out", str(tmp_path / "redone")], capsys)
+        assert code == 0
+        for name in ("rates", "events", "convergence"):
+            assert (tmp_path / f"redone_{name}.csv").read_bytes() == (tmp_path / f"sim_{name}.csv").read_bytes()
+
     def test_empty_ladder_entry_exits_2_naming_p_ladder(self, tmp_path, capsys):
         code, _, err = run_cli(["simulate", "rx", "--k", "22", "--dmax", "2", "--p-ladder", "1e2,,1e4",
                                 "--out", str(tmp_path / "s")], capsys)
@@ -347,6 +374,22 @@ def _manifest(tmp_path, capsys, argv):
 
 
 _ABSENT = object()
+
+
+@pytest.mark.parametrize("argv,params", [
+    (["region", "inner", "--scheme", "2", "--grid", "16", "--dmax", "2"],
+     {"kind": "inner", "k": "inf", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 2, "mu": 0.0,
+      "mode": "rx_bidirectional", "scheme": "2", "grid": 16, "corrected": False}),
+    (["region", "mux", "--mu", "0.3", "--dmax", "2"],
+     {"kind": "mux", "k": "inf", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 2, "mu": 0.3,
+      "mode": "rx_bidirectional", "scheme": "both", "grid": 64, "corrected": False}),
+    (["simulate", "rx", "--k", "12", "--dmax", "2"],
+     {"mode": "rx", "k": 12, "dmax": 2, "alpha": 0.5, "p_ladder": [100.0, 10000.0, 1000000.0]}),
+], ids=["region_inner", "region_mux", "simulate"])
+def test_manifest_params(tmp_path, capsys, argv, params):
+    doc = _manifest(tmp_path, capsys, argv)
+    assert doc["command"] == argv[0]
+    assert doc["params"] == {**params, "out": str(tmp_path / "first")}
 
 
 def _rerun_doc(tmp_path, capsys, doc, out=True):
@@ -416,3 +459,26 @@ class TestMalformedManifest:
         code, _, err = _rerun_doc(tmp_path, capsys, doc if edit == "no params" else [doc])
         assert code == 2
         assert "params object" in err
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    log_p=st.floats(-300, 300),
+    alpha=st.floats(0.02, 0.98).flatmap(lambda a: st.sampled_from([a, -a])),
+    pi=st.floats(0, 3),
+    dmax=st.integers(1, 16),
+    scheme=st.sampled_from(["1", "2", "both"]),
+    corrected=st.booleans(),
+)
+def test_region_inner_always_writes_a_data_row(log_p, alpha, pi, dmax, scheme, corrected):
+    """Whatever the power, every scheme and term variant exits 0 with at least
+    one boundary point; a tiny P once left scheme 2 with a header-only CSV."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "inner.csv"
+        argv = ["region", "inner", "--p", repr(10.0 ** log_p), "--alpha", repr(alpha), "--pi", repr(pi),
+                "--dmax", str(dmax), "--scheme", scheme, "--grid", "12", "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--corrected"] * corrected)
+        assert code == 0, err.getvalue()
+        assert len(out.read_text().splitlines()) >= 2

@@ -8,10 +8,8 @@ import pytest
 from softhandoff.gaussian_mi import (
     PowerAllocation,
     cf_chain_term,
-    cf_cum_vs_y,
     cf_cum_vs_y_cond,
     cf_final_term,
-    cf_final_term_corrected,
     cf_scheme1_slow,
     gaussian_mi,
     layered_covariance,
@@ -48,6 +46,10 @@ class TestPowerAllocation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             PowerAllocation((-0.1, 0.5))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PowerAllocation((math.nan, 0.5))
 
     def test_rejects_oversubscribed(self):
         with pytest.raises(ValueError):
@@ -349,13 +351,62 @@ class TestDataProcessing:
             assert i1 <= i2 + 1e-9 <= i3 + 2e-9
 
 
+def _cum_vs_y(b_level, b_total, p, alpha):
+    """Reference: I(depth auxiliary; Y) for cumulative power b_level out of b_total."""
+    a2 = alpha * alpha
+    num = 1 + b_total * p * (1 + a2)
+    den = 1 + (b_total - b_level) * p + a2 * b_total * p
+    return 0.5 * np.log2(num / den)
+
+
+def _final_term_corrected(b_last, b_total, p, alpha):
+    """Reference: I(X; Y, V'_{top-1} | top chain level), the neighbour's own
+    top layer left as residual interference."""
+    a2 = alpha * alpha
+    num = 1 + (b_total - b_last) * p * (1 + a2)
+    den = 1 + a2 * (b_total - b_last) * p
+    return 0.5 * np.log2(num / den)
+
+
+class TestChainTermEdgeCases:
+    """cf_chain_term's two edge cases are the dedicated formulas bit for bit."""
+
+    @staticmethod
+    def _args(seed, shape):
+        rng = np.random.default_rng(seed)
+        b = np.sort(rng.uniform(0.0, 1.0, (2,) + shape), axis=0)
+        b[0].flat[::7] = 0.0  # empty lower levels
+        b[1].flat[::5] = 1.0  # full total power
+        b[0].flat[::11] = b[1].flat[::11]  # empty top layers
+        p = 10 ** rng.uniform(-3, 8, shape)
+        a = rng.uniform(0.02, 0.98, shape) * rng.choice([-1.0, 1.0], shape)
+        return b[0], b[1], p, a
+
+    @pytest.mark.parametrize("shape", [(20_000,), (200, 100)])
+    def test_zero_lower_depth_is_i_u_y(self, shape):
+        b, t, p, a = self._args(11, shape)
+        assert np.array_equal(cf_chain_term(0, b, t, p, a), _cum_vs_y(b, t, p, a))
+        assert np.array_equal(cf_chain_term(np.zeros(shape), b, t, p, a), _cum_vs_y(b, t, p, a))
+
+    @pytest.mark.parametrize("shape", [(20_000,), (200, 100)])
+    def test_full_upper_depth_is_corrected_final_term(self, shape):
+        b, t, p, a = self._args(12, shape)
+        assert np.array_equal(cf_chain_term(b, t, t, p, a), _final_term_corrected(b, t, p, a))
+
+    def test_scalars(self):
+        b, t, p, a = self._args(13, (500,))
+        for bi, ti, pi, ai in zip(b.tolist(), t.tolist(), p.tolist(), a.tolist()):
+            assert cf_chain_term(0.0, bi, ti, pi, ai) == _cum_vs_y(bi, ti, pi, ai)
+            assert cf_chain_term(bi, ti, ti, pi, ai) == _final_term_corrected(bi, ti, pi, ai)
+
+
 class TestClosedForms:
     def test_cum_vs_y_closed_form_full_power(self):
         # I(U2;Y) = 0.5*log2((1+P+a^2 P)/(1+(1-B2)P+a^2 P)) at full power
         p, a = 5.0, 0.2
         for b2 in (0.1, 0.35, 0.8, 1.0):
             direct = 0.5 * math.log2((1 + p + a * a * p) / (1 + (1 - b2) * p + a * a * p))
-            assert cf_cum_vs_y(b2, 1.0, p, a) == pytest.approx(direct, abs=1e-15)
+            assert cf_chain_term(0.0, b2, 1.0, p, a) == pytest.approx(direct, abs=1e-15)
 
     def test_closed_forms_match_determinant_path(self):
         rng = np.random.default_rng(77)
@@ -375,7 +426,7 @@ class TestClosedForms:
                 assert val == pytest.approx(cf, abs=1e-9)
             assert t.i_final == pytest.approx(float(cf_final_term(B[-2], total, p)), abs=1e-9)
             assert t.i_final_corrected == pytest.approx(
-                float(cf_final_term_corrected(B[-2], total, p, a)), abs=1e-9
+                float(cf_chain_term(B[-2], total, total, p, a)), abs=1e-9
             )
 
     def test_scheme1_closed_forms_match(self):
@@ -387,7 +438,7 @@ class TestClosedForms:
             a = float(rng.uniform(0.05, 0.95))
             t = scheme1_terms(alloc, NetworkConfig(alpha=a, p=p))
             b1, b2, b3 = alloc.cumulative()
-            assert t.i_u2_y == pytest.approx(float(cf_cum_vs_y(b2, b3, p, a)), abs=1e-9)
+            assert t.i_u2_y == pytest.approx(float(cf_chain_term(0.0, b2, b3, p, a)), abs=1e-9)
             assert t.i_u2_y_given_u1 == pytest.approx(float(cf_cum_vs_y_cond(b1, b2, b3, p, a)), abs=1e-9)
             assert t.i_x_slow_given_u1 == pytest.approx(float(cf_scheme1_slow(b1, b1, b3, p, a)), abs=1e-9)
             assert t.i_x_slow_given_u2 == pytest.approx(float(cf_scheme1_slow(b2, b1, b3, p, a)), abs=1e-9)

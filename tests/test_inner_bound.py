@@ -13,14 +13,15 @@ from softhandoff.gaussian_mi import (
     PowerAllocation,
     cf_chain_term,
     cf_final_term,
-    cf_final_term_corrected,
 )
 import softhandoff.inner_bound as ib
 from softhandoff.inner_bound import (
     _alloc_from_cumulative,
     _best_per_bin,
+    _scheme1_caps,
     _scheme1_table,
     _scheme2_batch,
+    _scheme2_vectors,
     _u0,
     best_slow_rate_scheme2,
     eval_scheme1,
@@ -114,8 +115,16 @@ class TestInnerBoundary:
         assert all(p.x + p.y < 1e-5 for p in pts)
 
     def test_witness_reproducibility(self):
+        # at d_max = 1 scheme-2 witnesses have fewer layers than scheme 1's
+        for cfg in (CFG_FIG2, NetworkConfig(alpha=-0.97, p=2e6, pi=2.4, d_max=1)):
+            self._assert_witnesses_reproduce(cfg)
+
+    @staticmethod
+    def _assert_witnesses_reproduce(cfg):
+        seen = set()
         for corrected in (False, True):
-            pts = inner_boundary(CFG_FIG2, scheme="both", grid_resolution=12, corrected=corrected)
+            pts = inner_boundary(cfg, scheme="both", grid_resolution=12, corrected=corrected)
+            seen |= {w.scheme for pt in pts for w in pt.components}
             for pt in pts:
                 mix_x = sum(w.weight * w.x for w in pt.components)
                 mix_y = sum(w.weight * w.y for w in pt.components)
@@ -123,12 +132,13 @@ class TestInnerBoundary:
                 assert mix_y == pytest.approx(pt.y, abs=1e-9)
                 for w in pt.components:
                     if w.scheme == 1:
-                        ev = eval_scheme1(w.alloc, CFG_FIG2, corrected=corrected)
+                        ev = eval_scheme1(w.alloc, cfg, corrected=corrected)
                     else:
-                        ev = eval_scheme2(w.alloc, CFG_FIG2, corrected=corrected)
+                        ev = eval_scheme2(w.alloc, cfg, corrected=corrected)
                         assert ev.feasible
                     assert ev.r_fast_cap >= w.x - 1e-9
                     assert ev.r_sum_cap - w.x == pytest.approx(w.y, abs=1e-9)
+        assert seen == {1, 2}
 
     def test_monotone_in_pi(self):
         cfg_lo = NetworkConfig(alpha=0.2, p=5.0, pi=0.1, d_max=2)
@@ -225,6 +235,17 @@ class TestBestSlowRateScheme2:
             assert ev.feasible
             assert ev.r_sum_cap == pytest.approx(val, abs=1e-9)
 
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("p", [1e-16, 1e-300])
+    def test_tiny_power_keeps_the_zero_rate_bin(self, p, corrected):
+        # 1 + P(1 + a^2) rounds to 1, so the u0 formula reads below 0 at x = 0
+        cfg = NetworkConfig(alpha=0.2, p=p, pi=0.5, d_max=2)
+        assert np.isnan(_u0(np.array([0.0, 1e-3]), cfg)).tolist() == [False, True]
+        val, alloc = best_slow_rate_scheme2(cfg, corrected)
+        assert 0.0 <= val <= 1e-15
+        assert eval_scheme2(alloc, cfg, corrected).feasible
+        assert inner_boundary(cfg, "2", 10, corrected)
+
 
 def _scheme2_batch_by_round(B, cfg, corrected):
     """Round-by-round reference: one kernel call per round, loads added in turn."""
@@ -234,8 +255,8 @@ def _scheme2_batch_by_round(B, cfg, corrected):
     for d in range(1, B.shape[1] - 1):
         conf = conf + cf_chain_term(B[:, d - 1], B[:, d], total_pow, p, a)
     r_fast = cf_chain_term(np.zeros(len(B)), B[:, 0], total_pow, p, a)
-    if corrected:
-        final = cf_final_term_corrected(B[:, -2], total_pow, p, a)
+    if corrected:  # the decode-consistent final term (see test_gaussian_mi's edge-case pins)
+        final = cf_chain_term(B[:, -2], total_pow, total_pow, p, a)
     else:
         final = cf_final_term(B[:, -2], total_pow, p)
     return r_fast, conf, conf + final
@@ -328,8 +349,8 @@ def _scheme2_candidates(cfg, x, grid_best):
     """Top, linspace and lattice seeds for the bin at fast rate x."""
     L = cfg.d_max + 1
     seeds = []
-    u0 = _u0(x, cfg)
-    if u0 is not None:
+    u0 = _u0(np.array([x]), cfg)[0]
+    if not np.isnan(u0):
         b1 = 1 - u0
         top = np.full(L, b1)
         top[-1] = 1.0
@@ -441,12 +462,12 @@ class TestClosedForm:
         want1, want2 = scheme in ("1", "both"), scheme in ("2", "both")
         seed = {"1": 41, "2": 42, "both": 43}[scheme]
         for cfg, grid in _random_configs(seed, 20, log10_p=(-2.0, 5.0), max_d=10):
-            got = _best_per_bin(cfg, want1, want2, grid, False)
+            xs, ys, _, _ = _best_per_bin(cfg, want1, want2, grid, False)
             want = _search_per_bin(cfg, want1, want2, grid, False)
-            assert len(got) == len(want) > 0, cfg
-            for g, w in zip(got, want):
-                assert g[0] == w[0], cfg
-                assert abs(g[1] - w[1]) <= 1e-12, (cfg, g, w)
+            assert len(xs) == len(want) > 0, cfg
+            for x, y, w in zip(xs, ys, want):
+                assert x == w[0], cfg
+                assert abs(y - w[1]) <= 1e-12, (cfg, x, y, w)
 
     def test_slow_rate_matches_search(self):
         for cfg, _ in _random_configs(44, 20, log10_p=(-2.0, 5.0), max_d=10):
@@ -540,9 +561,9 @@ def _search_reference(cfg, scheme, grid):
 def _assert_matches_or_beats(cfg, scheme, grid, bins, slow_rate):
     """Every bin keeps the search's x and is at most 1e-9 below its y; the
     slow rate too, and its witness re-derives through eval_scheme2."""
-    got = _best_per_bin(cfg, scheme != "2", scheme != "1", grid, True)
-    assert len(got) == len(bins) > 0, cfg
-    for (x, y, s, alloc), (want_x, want_y) in zip(got, bins):
+    xs, ys, _, _ = _best_per_bin(cfg, scheme != "2", scheme != "1", grid, True)
+    assert len(xs) == len(bins) > 0, cfg
+    for x, y, (want_x, want_y) in zip(xs, ys, bins):
         assert x == want_x, cfg
         assert y >= want_y - 1e-9, (cfg, x, y, want_y)
     val, alloc = best_slow_rate_scheme2(cfg, corrected=True)
@@ -589,6 +610,81 @@ class TestCorrectedClosedForm:
         assert ys[0] < ys[1] < ys[2]
 
 
+def _best_per_bin_by_loop(cfg, want1, want2, grid_resolution, corrected):
+    """Reference: the per-bin selection _best_per_bin made before its sorted
+    pass, a Python loop over the bins; (x, y, scheme, cumulative row) per bin."""
+    L = cfg.d_max + 1
+    x_max = 0.0
+    if want1 and corrected:
+        s1_fast, s1_sum, s1_B = _scheme1_table(cfg, 64, corrected)
+        x_max = float(np.max(s1_fast))
+    elif want1:
+        s1_fast, s1_sum = _scheme1_caps(np.zeros(1), np.ones(1), np.ones(1), cfg, False)
+        x_max = float(s1_fast[0])
+    if want2:
+        x_max = max(x_max, min(cfg.pi, float(_scheme2_batch(np.ones((1, L)), cfg)[0][0])))
+    xs = np.unique(np.linspace(0.0, x_max if x_max >= 1e-12 else 0.0, grid_resolution + 1))
+
+    bests = [(-np.inf, 0, None)] * len(xs)
+    if want1 and corrected:
+        for i, x in enumerate(xs):
+            mask = s1_fast >= x - 1e-12
+            if np.any(mask):
+                k = int(np.argmax(np.where(mask, s1_sum, -np.inf)))
+                bests[i] = (float(s1_sum[k]), 1, s1_B[k])
+    elif want1:
+        bests = [(float(s1_sum[0]), 1, np.array([0.0, 1.0, 1.0]))] * len(xs)
+    if want2:
+        u0 = np.array([_u0(np.array([x]), cfg)[0] if x <= cfg.pi + 1e-12 else np.nan for x in xs])
+        rows = np.flatnonzero(~np.isnan(u0))
+        B = _scheme2_vectors(u0[rows], xs[rows], cfg, corrected)
+        r_fast, conf, tot = _scheme2_batch(B, cfg, corrected)
+        ok = (r_fast >= xs[rows] - 1e-9) & (conf <= cfg.pi + 1e-9)
+        for i, b, val in zip(rows[ok], B[ok], tot[ok]):
+            if val > bests[i][0]:
+                bests[i] = (float(val), 2, b)
+    return [
+        (float(x), best_val - float(x), scheme, row)
+        for x, (best_val, scheme, row) in zip(xs, bests)
+        if row is not None and math.isfinite(best_val)
+    ]
+
+
+class TestSortedSelection:
+    """One sorted pass over the table picks the same winner in every bin as
+    the per-bin loop did (first index on ties)."""
+
+    @staticmethod
+    def _assert_same(cfg, want1, want2, grid, corrected):
+        xs, ys, schemes, B = _best_per_bin(cfg, want1, want2, grid, corrected)
+        want = _best_per_bin_by_loop(cfg, want1, want2, grid, corrected)
+        assert len(xs) == len(want) > 0, cfg
+        for x, y, s, row, (wx, wy, ws, wrow) in zip(xs, ys, schemes, B, want):
+            assert (x, y, s) == (wx, wy, ws), cfg
+            assert np.array_equal(row[:len(wrow)], wrow), (cfg, x)
+
+    @pytest.mark.parametrize("grid", [10, 64, 599, 4000])
+    def test_corrected_scheme1(self, grid):
+        for cfg, _ in _random_configs(100 + grid, 3, log10_p=(-2.0, 6.0), max_d=16):
+            self._assert_same(cfg, True, False, grid, True)
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("want1,want2", [(True, False), (False, True), (True, True)])
+    def test_every_scheme(self, want1, want2, corrected):
+        for cfg, grid in _random_configs(7, 12, log10_p=(-3.0, 8.0), max_d=16):
+            self._assert_same(cfg, want1, want2, 5 * grid, corrected)
+        self._assert_same(CFG_FIG2, want1, want2, 64, corrected)
+        # d_max = 1: scheme 2 writes 2 levels where scheme 1 wrote 3
+        self._assert_same(NetworkConfig(alpha=-0.97, p=2e6, pi=2.4, d_max=1), want1, want2, 21, corrected)
+
+    def test_ties_take_the_first_row(self):
+        # at pi = 0 with a strong cross gain many table rows share a sum cap
+        cfg = NetworkConfig(alpha=0.9, p=1e4, pi=0.0, d_max=1)
+        _, s1_sum, _ = _scheme1_table(cfg, 64, True)
+        assert len(np.unique(s1_sum)) < len(s1_sum)
+        self._assert_same(cfg, True, False, 200, True)
+
+
 _ALPHAS = st.floats(0.02, 0.98).flatmap(lambda a: st.sampled_from([a, -a]))
 
 
@@ -603,8 +699,7 @@ def test_corrected_inner_boundary_within_outer_sum_bound(alpha, log_p, pi, d_max
 
 def _corrected_scheme2_at(cfg, xs):
     """(r_fast, conf_load, total) of the corrected scheme-2 optimum at fast rates xs."""
-    u0 = np.array([_u0(float(x), cfg) for x in xs])
-    return _scheme2_batch(ib._scheme2_vectors(u0, xs, cfg, True), cfg, True)
+    return _scheme2_batch(_scheme2_vectors(_u0(xs, cfg), xs, cfg, True), cfg, True)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -614,7 +709,7 @@ def _corrected_scheme2_at(cfg, xs):
 )
 def test_corrected_scheme2_bins_grow_with_dmax_and_pi(alpha, log_p, pi, d_max, more_pi, more_d):
     cfg = NetworkConfig(alpha=alpha, p=10 ** log_p, pi=pi, d_max=d_max)
-    xs = np.array([x for x, *_ in _best_per_bin(cfg, False, True, 24, True)])
+    xs = _best_per_bin(cfg, False, True, 24, True)[0]
     base = _corrected_scheme2_at(cfg, xs)[2]
     for bigger in (replace(cfg, d_max=min(d_max + more_d, 16)), replace(cfg, pi=pi + more_pi)):
         r_fast, conf, tot = _corrected_scheme2_at(bigger, xs)

@@ -9,7 +9,6 @@ from softhandoff.model import (
     VERTEX_TOL,
     MuxPair,
     NetworkConfig,
-    RatePair,
     Region,
     _two_cut_polygon,
     boundary_slopes,
@@ -142,14 +141,6 @@ class TestValidateConfig:
 
 
 class TestPairTypes:
-    def test_rate_pair_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RatePair(-0.1, 0.5)
-
-    def test_rate_pair_rejects_inf(self):
-        with pytest.raises(ValueError):
-            RatePair(math.inf, 0.0)
-
     def test_mux_pair_bounds(self):
         MuxPair(0.0, 1.0)
         with pytest.raises(ValueError):
