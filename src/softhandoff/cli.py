@@ -8,8 +8,8 @@ byte via the rerun subcommand.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import sys
 import time
@@ -42,9 +42,9 @@ def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
 
     Integer cells index one table of str(i) over the files' integer range, which
     the callers keep small (cells, users, rounds and subnets of k <= _MAX_K
-    cells); its last entry "" serves masked cells.  Floats go through _fmt once
-    per distinct value; strings are written as they are.  Rows go out in
-    blocks, so no file's whole text is held as one string.
+    cells).  Floats go through _fmt once per distinct value; strings are
+    written as they are; masked cells, integer or float, read "".  Rows go
+    out in blocks, so no file's whole text is held as one string.
     """
     files = [(path, header, [np.asanyarray(c) for c in columns]) for path, header, columns in files]
     ints = [v for _, _, cols in files for c in cols if c.dtype.kind in "iu" and (v := np.ma.compressed(c)).size]
@@ -56,8 +56,9 @@ def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
             if col.dtype.kind in "iu":
                 text.append(table[np.where(np.ma.getmaskarray(col), -1, np.ma.getdata(col) - lo)].tolist())
             elif col.dtype.kind == "f":
-                values, inverse = np.unique(col, return_inverse=True)
-                text.append(np.array([_fmt(v) for v in values.tolist()], dtype=object)[inverse].tolist())
+                values, inverse = np.unique(np.ma.getdata(col), return_inverse=True)
+                cells = np.array([*map(_fmt, values.tolist()), ""], dtype=object)
+                text.append(cells[np.where(np.ma.getmaskarray(col), -1, inverse)].tolist())
             else:
                 text.append(col.tolist())
         rows = [",".join(header), *map(",".join, zip(*text))]
@@ -72,7 +73,7 @@ def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]],
     _write_csvs([(path, header, [xy[:, 0], xy[:, 1], [source] * len(xy)])])
 
 
-def _write_manifest(command: str, params: dict, outputs: list[str]) -> str:
+def _write_manifest(command: str, params: dict, outputs: list[str]) -> None:
     path = outputs[0] + ".manifest.json"
     doc = {
         "command": command,
@@ -84,7 +85,6 @@ def _write_manifest(command: str, params: dict, outputs: list[str]) -> str:
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _parse_k(text: str) -> float:
@@ -143,16 +143,11 @@ def _run_region(params: dict) -> list[str]:
         pts = inner_boundary(cfg, scheme, grid, corrected)
         ref_label = match_inner_reference(scheme, cfg.p, cfg.alpha, cfg.pi, cfg.d_max)
         header = ["x_rate_bits", "y_rate_bits", "source"]
-        columns = [
-            np.array([pt.x for pt in pts], dtype=float),
-            np.array([pt.y for pt in pts], dtype=float),
-            ["timeshare" if len(pt.components) > 1 else f"scheme{pt.components[0].scheme}" for pt in pts],
-        ]
-        if ref_label:
-            header.append("reference")
+        columns = [pts.cols[name] for name in ("x", "y", "source")]
+        if ref_label:  # blank outside the reference's x range
             ref = Region(vertices=get_reference(ref_label), kind="polyline")
-            ref_ys = [_polyline_ymax(ref, pt.x) for pt in pts]  # nan outside the reference's x range
-            columns.append(["" if math.isnan(y) else _fmt(y) for y in ref_ys])
+            header.append("reference")
+            columns.append(np.ma.masked_invalid(_polyline_ymax(ref, pts.cols["x"])))
         _write_csvs([(out, header, columns)])
         return [out]
 
@@ -203,13 +198,12 @@ def _run_compare(params: dict, stream) -> None:
         raise ValueError("x ranges of reference and computed curve do not overlap")
 
     computed = Region(vertices=tuple(sorted(zip(xs, ys))), kind="polyline")
+    shown = [(rx, ry) for rx, ry in ref if lo - 1e-12 <= rx <= hi + 1e-12]
+    cys = _polyline_ymax(computed, np.array([rx for rx, _ in shown], dtype=float)).tolist()
     print(f"comparison against {label} on x in [{_fmt(lo)}, {_fmt(hi)}]", file=stream)
     print("x,y_reference,y_computed,dy", file=stream)
     worst = (0.0, 0.0)
-    for rx, ry in ref:
-        if rx < lo - 1e-12 or rx > hi + 1e-12:
-            continue
-        cy = _polyline_ymax(computed, rx)
+    for (rx, ry), cy in zip(shown, cys):
         dy = cy - ry
         if abs(dy) > abs(worst[1]):
             worst = (rx, dy)
@@ -239,7 +233,8 @@ def _dispatch(command: str, params: dict, stream) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache  # built on the first call, not at import
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="softhandoff",
         description="rate regions, multiplexing-gain polygons, and conferencing simulators",
@@ -277,9 +272,12 @@ def main(argv: list[str] | None = None) -> int:
     rer = sub.add_parser("rerun", help="re-execute a command from its manifest")
     rer.add_argument("manifest")
     rer.add_argument("--out")
+    return ap
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        params = vars(ap.parse_args(argv))  # the dest names are the manifest keys
+        params = vars(_parser().parse_args(argv))  # the dest names are the manifest keys
         command = params.pop("command")
         if command == "rerun":
             with open(params["manifest"]) as fh:

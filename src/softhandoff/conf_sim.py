@@ -40,19 +40,17 @@ log are computed on the columns, every sum added left to right in log order.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import MuxPair, NetworkConfig, validate_config
+from .model import Columns, MuxPair, NetworkConfig, validate_config
 
 __all__ = [
     "Subnet",
     "SilencingPattern",
     "ConferenceMessage",
     "UserRate",
-    "Columns",
     "RateReport",
     "ConvergenceRow",
     "build_silencing",
@@ -108,52 +106,6 @@ class UserRate:
     kind: str  # fast | slow | silenced | relay
     rate: float
     decode_round: int
-
-
-def _values(col: np.ndarray) -> list:
-    """The cells of a column as Python scalars; a masked (np.ma) cell reads as ""."""
-    return np.ma.filled(col.astype(object), "").tolist() if np.ma.is_masked(col) else col.tolist()
-
-
-class Columns(Sequence):
-    """Records of one type held as numpy columns, one per field, in field order.
-
-    ``len`` is free; records are built only when indexed or iterated, from
-    Python scalars, so they compare and print like records built one by one.
-    A column may be a masked array, whose masked cells read as "".
-    """
-
-    def __init__(self, record, cols: dict[str, np.ndarray]):
-        self.record = record
-        self.cols = cols
-
-    @classmethod
-    def of(cls, record, records) -> Columns:
-        """The columns of a sequence of dataclass records."""
-        records = list(records)
-        return cls(record, {f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(record)})
-
-    def __len__(self) -> int:
-        return len(next(iter(self.cols.values())))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        return self.record(*(_values(c[[i]])[0] for c in self.cols.values()))
-
-    def __iter__(self):
-        return map(self.record, *map(_values, self.cols.values()))
-
-    def __eq__(self, other):
-        if isinstance(other, Columns):
-            return (self.record is other.record and self.cols.keys() == other.cols.keys()
-                    and all(np.array_equal(c, other.cols[n]) for n, c in self.cols.items()))
-        if isinstance(other, (tuple, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Columns({getattr(self.record, '__name__', 'tuple')}, {len(self)} records)"
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ path so the two routes cross-check each other.  The best scheme-2 allocation
 of every fast-rate bin is known in closed form under both the printed and the
 corrected rate terms (see _best_per_bin), so scheme 2 is one vectorised
 evaluation per sweep; scheme 1 picks every bin's row of a 3-layer table in
-one sorted pass.  Boundaries carry witness allocations so that every
-reported point can be re-derived.
+one sorted pass.  The time-sharing hull places every bin at once, and the
+boundary comes back as array columns (model.Columns) whose records carry
+witness allocations, built on first read, so that every reported point can
+be re-derived.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .gaussian_mi import (
     scheme1_terms,
     scheme2_terms,
 )
-from .model import NetworkConfig, Region, validate_config
+from .model import Columns, NetworkConfig, Region, validate_config
 
 __all__ = [
     "SchemeOneEvaluation",
@@ -191,7 +193,7 @@ def _alloc_from_cumulative(B: np.ndarray) -> PowerAllocation:
     return PowerAllocation(tuple(float(v) for v in fr))
 
 
-def _upper_concave_envelope(xs: np.ndarray, ys: np.ndarray) -> list[int]:
+def _upper_concave_envelope(xs: list[float], ys: list[float]) -> list[int]:
     """Indices of the upper concave hull of (xs, ys), xs ascending."""
     hull: list[int] = []
     for i in range(len(xs)):
@@ -326,7 +328,7 @@ def inner_boundary(
     scheme: int | str = "both",
     grid_resolution: int = 64,
     corrected: bool = False,
-) -> list[BoundaryPoint]:
+) -> Columns:
     """Sweep the achievable boundary on a fast-rate grid.
 
     For each target fast rate the best sum cap over all feasible allocations
@@ -335,6 +337,11 @@ def inner_boundary(
     pointwise-best of the requested schemes is closed under time sharing
     (upper concave envelope).  The rate-transfer closure is implicit:
     transferring fast rate to slow moves along the same sum line.
+
+    One searchsorted puts every bin on a hull vertex or between two, where it
+    takes the t-form value (1 - t) y0 + t y1.  Returns Columns of
+    BoundaryPoint with columns x, y and source ("scheme1", "scheme2" or
+    "timeshare"); a hull vertex's allocation is built when first read.
     """
     validate_config(cfg)
     scheme = str(scheme)
@@ -344,37 +351,34 @@ def inner_boundary(
         raise ValueError("grid_resolution must be at least 10")
     if grid_resolution > _MAX_GRID:
         raise ValueError(f"grid_resolution must be at most {_MAX_GRID}")
-    pxs, pys, schemes, B = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
-    if not len(pxs):
-        return []
-    hull = _upper_concave_envelope(pxs, pys)
-    hx = pxs[hull]
-    # every component is a hull vertex, so only those need a witness allocation
-    levels = (0, 3, cfg.d_max + 1)  # of a witness row, by scheme
-    allocs = {i: _alloc_from_cumulative(B[i, :levels[schemes[i]]]) for i in hull}
-    px, py, ps = pxs.tolist(), pys.tolist(), schemes.tolist()
-
-    def witness(weight: float, i: int) -> BoundaryWitness:
-        return BoundaryWitness(weight, ps[i], allocs[i], px[i], py[i])
-
+    xs, ys, schemes, B = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
+    hull = np.array(_upper_concave_envelope(xs.tolist(), ys.tolist()), dtype=int)
     # the first and the last raw point are always on the hull, so every x
     # lies in a bracket [hx[j], hx[j+1]] or on the last hull point
-    points: list[BoundaryPoint] = []
-    for x in pxs:
-        j = int(np.searchsorted(hx, x, side="right")) - 1
-        if abs(hx[j] - x) <= 1e-15:
-            y = pys[hull[j]]
-            comp = (witness(1.0, hull[j]),)
-        else:
-            i0, i1 = hull[j], hull[j + 1]
-            t = (x - pxs[i0]) / (pxs[i1] - pxs[i0])
-            y = (1 - t) * pys[i0] + t * pys[i1]
-            if t <= 1e-15 or t >= 1 - 1e-15:
-                comp = (witness(1.0, i0 if t <= 1e-15 else i1),)
-            else:
-                comp = (witness(float(1 - t), i0), witness(float(t), i1))
-        points.append(BoundaryPoint(float(x), float(y), comp))
-    return points
+    hx = xs[hull]
+    j = np.searchsorted(hx, xs, side="right") - 1
+    i0, i1 = hull[j], hull[np.minimum(j + 1, len(hull) - 1)]
+    on = np.abs(hx[j] - xs) <= 1e-15
+    t = np.where(on, 0.0, (xs - xs[i0]) / np.where(on, 1.0, xs[i1] - xs[i0]))
+    y = np.where(on, ys[i0], (1 - t) * ys[i0] + t * ys[i1])
+    right = ~on & (t >= 1 - 1e-15)
+    two = ~(on | (t <= 1e-15) | right)
+    first = np.where(right, i1, i0)
+    allocs: dict[int, PowerAllocation] = {}  # every component is a hull vertex
+
+    def witness(weight: float, i: int) -> BoundaryWitness:
+        if i not in allocs:  # the row's first 3 (scheme 1) or d_max + 1 (scheme 2) levels
+            allocs[i] = _alloc_from_cumulative(B[i, :3 if schemes[i] == 1 else cfg.d_max + 1])
+        return BoundaryWitness(weight, int(schemes[i]), allocs[i], float(xs[i]), float(ys[i]))
+
+    def point(x: float, y: float, source: str, i: int, w: float, i2: int, w2: float) -> BoundaryPoint:
+        return BoundaryPoint(x, y, (witness(w, i), witness(w2, i2)) if i2 >= 0 else (witness(w, i),))
+
+    return Columns(point, {
+        "x": xs, "y": y,
+        "source": np.array(["", "scheme1", "scheme2", "timeshare"])[np.where(two, 3, schemes[first])],
+        "first": first, "weight": np.where(two, 1 - t, 1.0), "second": np.where(two, i1, -1), "t": t,
+    })
 
 
 def inner_region(
@@ -387,8 +391,7 @@ def inner_region(
     pts = inner_boundary(cfg, scheme, grid_resolution, corrected)
     if not pts:
         return Region(vertices=((0.0, 0.0),), kind="polyline", degenerate=True)
-    verts = tuple((p.x, p.y) for p in pts)
-    region = Region(vertices=verts, kind="polyline")
+    region = Region(vertices=tuple(zip(pts.cols["x"].tolist(), pts.cols["y"].tolist())), kind="polyline")
     return rate_transfer_closure(region)
 
 
@@ -401,17 +404,11 @@ def rate_transfer_closure(region: Region) -> Region:
     """
     if region.kind != "polyline":
         raise ValueError("rate_transfer_closure expects a polyline region")
-    v = list(region.vertices)
-    if not v:
+    if not region.vertices:
         return region
-    xs = [p[0] for p in v]
-    ys = [p[1] for p in v]
-    n = len(v)
-    suffix = [0.0] * n
-    acc = -math.inf
-    for i in range(n - 1, -1, -1):
-        acc = max(acc, xs[i] + ys[i])
-        suffix[i] = acc
+    xs, ys = np.array(region.vertices, dtype=float).T.tolist()
+    n = len(xs)
+    suffix = np.maximum.accumulate(np.add(xs, ys)[::-1])[::-1].tolist()  # max of x_j + y_j over j >= i
 
     out: list[tuple[float, float]] = []
 

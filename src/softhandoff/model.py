@@ -1,4 +1,5 @@
-"""Core parameter types, the prelog-pair type, and 2-D convex-region geometry.
+"""Core parameter types, the prelog-pair type, lazy record columns, and 2-D
+convex-region geometry.
 
 Everything downstream (bounds, multiplexing-gain polygons, simulators) shares
 the types in this module.  All rates are in bits per channel use; every log
@@ -11,13 +12,17 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 __all__ = [
     "ASYMPTOTIC_K",
     "NetworkConfig",
     "MuxPair",
     "Region",
+    "Columns",
     "validate_config",
     "region_contains",
     "boundary_slopes",
@@ -115,6 +120,53 @@ class Region:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
 
+def _values(col: np.ndarray) -> list:
+    """The cells of a column as Python scalars; a masked (np.ma) cell reads as ""."""
+    return np.ma.filled(col.astype(object), "").tolist() if np.ma.is_masked(col) else col.tolist()
+
+
+class Columns(Sequence):
+    """Records of one type held as numpy columns, one per field, in field order.
+
+    ``len`` is free; records are built only when indexed or iterated, from
+    Python scalars, so they compare and print like records built one by one.
+    A column may be a masked array, whose masked cells read as "".  The
+    record is any callable of one row's cells, in column order.
+    """
+
+    def __init__(self, record, cols: dict[str, np.ndarray]):
+        self.record = record
+        self.cols = cols
+
+    @classmethod
+    def of(cls, record, records) -> Columns:
+        """The columns of a sequence of dataclass records."""
+        records = list(records)
+        return cls(record, {f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(record)})
+
+    def __len__(self) -> int:
+        return len(next(iter(self.cols.values())))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self.record(*(_values(c[[i]])[0] for c in self.cols.values()))
+
+    def __iter__(self):
+        return map(self.record, *map(_values, self.cols.values()))
+
+    def __eq__(self, other):
+        if isinstance(other, Columns) and self.record is other.record:
+            return self.cols.keys() == other.cols.keys() and all(
+                np.array_equal(c, other.cols[n]) for n, c in self.cols.items())
+        if isinstance(other, (Columns, tuple, list)):  # another record maker: compare records
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Columns({getattr(self.record, '__name__', 'tuple')}, {len(self)} records)"
+
+
 def _two_cut_polygon(s, w) -> Region:
     """The first quadrant cut by x + y <= s and 2x + y <= w, counterclockwise
     from the origin, as floats.
@@ -133,18 +185,22 @@ def _two_cut_polygon(s, w) -> Region:
     return Region(vertices=tuple((float(x), float(y)) for x, y in verts))
 
 
-def _polyline_ymax(region: Region, x: float) -> float:
-    """Upper boundary value of a polyline region at abscissa x (nan outside)."""
-    v = region.vertices
-    if x < v[0][0] - VERTEX_TOL or x > v[-1][0] + VERTEX_TOL:
-        return math.nan
-    for (x0, y0), (x1, y1) in zip(v, v[1:]):
-        if x <= x1 or x1 == v[-1][0]:
-            if x1 == x0:
-                return max(y0, y1)
-            t = min(max((x - x0) / (x1 - x0), 0.0), 1.0)
-            return y0 + t * (y1 - y0)
-    return v[-1][1]
+def _polyline_ymax(region: Region, x):
+    """Upper boundary value of a polyline region at abscissa x, a float or an
+    array (nan outside the x range): on the first segment that ends at or
+    right of x, or else at the last vertex, y0 + t (y1 - y0) with t clamped
+    to [0, 1], or max(y0, y1) if it is vertical (a lone vertex is one)."""
+    v = np.array(region.vertices, dtype=float).reshape(-1, 2)
+    xa = np.asarray(x, dtype=float)
+    seg = np.concatenate([v, v]) if len(v) == 1 else v
+    k = np.searchsorted(seg[1:, 0], np.fmin(xa, seg[-1, 0]))  # fmin takes a nan x to the last vertex
+    (x0, y0), (x1, y1) = seg[k].T, seg[k + 1].T
+    vertical = x1 == x0
+    t = (xa - x0) / np.where(vertical, 1.0, x1 - x0)
+    t = np.where(0.0 > t, 0.0, np.where(1.0 < t, 1.0, t))
+    y = np.where(vertical, np.where(y1 > y0, y1, y0), y0 + t * (y1 - y0))
+    y = np.where((xa < v[0, 0] - VERTEX_TOL) | (xa > v[-1, 0] + VERTEX_TOL), np.nan, y)
+    return y if np.ndim(x) else float(y)
 
 
 def region_contains(region: Region, point: tuple[float, float], tol: float = 0.0) -> bool:
@@ -152,12 +208,8 @@ def region_contains(region: Region, point: tuple[float, float], tol: float = 0.0
     x, y = point
     v = region.vertices
     if region.kind == "polyline":
-        if x < -tol or y < -tol:
-            return False
-        if x > v[-1][0] + tol:
-            return False
         ymax = _polyline_ymax(region, min(max(x, v[0][0]), v[-1][0]))
-        return y <= ymax + tol
+        return -tol <= x <= v[-1][0] + tol and -tol <= y <= ymax + tol
 
     if region.degenerate:
         return math.hypot(x - v[0][0], y - v[0][1]) <= tol

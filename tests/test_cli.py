@@ -482,3 +482,23 @@ def test_region_inner_always_writes_a_data_row(log_p, alpha, pi, dmax, scheme, c
             code = main(argv + ["--corrected"] * corrected)
         assert code == 0, err.getvalue()
         assert len(out.read_text().splitlines()) >= 2
+
+
+def test_parser_built_once_and_calls_parse_independently(tmp_path, capsys):
+    # options given to one call must not leak into the next call's defaults
+    region_defaults = {"k": "inf", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 1, "mu": 0.0,
+                       "mode": "rx_bidirectional", "scheme": "both", "grid": 64, "corrected": False}
+    calls = [
+        (["region", "inner", "--scheme", "2", "--grid", "16", "--dmax", "3", "--corrected", "--p", "7"],
+         {**region_defaults, "kind": "inner", "scheme": "2", "grid": 16, "dmax": 3, "corrected": True, "p": 7.0}),
+        (["region", "outer"], {**region_defaults, "kind": "outer"}),
+        (["simulate", "tx", "--k", "12", "--dmax", "2", "--alpha", "0.3"],
+         {"mode": "tx", "k": 12, "dmax": 2, "alpha": 0.3, "p_ladder": [100.0, 10000.0, 1000000.0]}),
+        (["region", "inner", "--grid", "10"], {**region_defaults, "kind": "inner", "grid": 10}),
+    ]
+    for i, (argv, params) in enumerate(calls):
+        (tmp_path / str(i)).mkdir()
+        doc = _manifest(tmp_path / str(i), capsys, argv)
+        assert doc["params"] == {**params, "out": str(tmp_path / str(i) / "first")}, argv
+    assert cli._parser() is cli._parser()
+    assert cli._parser.cache_info().currsize == 1

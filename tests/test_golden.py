@@ -13,7 +13,9 @@ the two cuts, the degenerate one-point outer region, an outer region whose
 cuts tie, and the `compare_*.txt` stdout of four comparisons against the
 golden CSVs), and before `simulate` evaluated every ladder power on one
 silencing layout and wrote CSV text from lookup tables (simulate with a
-5-power ladder, a negative alpha and a trailing subnet with no active cell);
+5-power ladder, a negative alpha and a trailing subnet with no active cell),
+and before the inner boundary was interpolated and written from arrays (fig2
+and corrected fig3 d_max=10 at grid 1000);
 a change that moves any byte of them changes a published
 output and must say so.
 """
@@ -41,6 +43,14 @@ CASES = {
     "fig2_both_dmax16.csv": ["region", "inner", "--scheme", "both", "--dmax", "16", "--pi", "0.346"],
     "fig2_both_dmax16_corrected.csv": [
         "region", "inner", "--scheme", "both", "--dmax", "16", "--pi", "0.346", "--corrected",
+    ],
+    # fine grids, with the reference column at fig2, and the corrected fig3 terms
+    "fig2_both_dmax16_grid1000.csv": [
+        "region", "inner", "--scheme", "both", "--dmax", "16", "--pi", "0.346", "--grid", "1000",
+    ],
+    "fig3_scheme2_dmax10_corrected_grid1000.csv": [
+        "region", "inner", "--scheme", "2", "--p", "5", "--alpha", "0.2",
+        "--pi", "2", "--grid", "1000", "--dmax", "10", "--corrected",
     ],
     "outer_k_inf_p5.csv": ["region", "outer", "--k", "inf", "--p", "5", "--alpha", "0.2", "--pi", "0.346"],
     "mux_mu03_dmax10.csv": ["region", "mux", "--mu", "0.3", "--dmax", "10"],

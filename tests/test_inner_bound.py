@@ -16,6 +16,8 @@ from softhandoff.gaussian_mi import (
 )
 import softhandoff.inner_bound as ib
 from softhandoff.inner_bound import (
+    BoundaryPoint,
+    BoundaryWitness,
     _alloc_from_cumulative,
     _best_per_bin,
     _scheme1_caps,
@@ -683,6 +685,211 @@ class TestSortedSelection:
         _, s1_sum, _ = _scheme1_table(cfg, 64, True)
         assert len(np.unique(s1_sum)) < len(s1_sum)
         self._assert_same(cfg, True, False, 200, True)
+
+
+def _rate_transfer_closure_by_loop(region):
+    """Reference: rate_transfer_closure with its suffix maximum as a Python loop."""
+    v = list(region.vertices)
+    xs = [p[0] for p in v]
+    ys = [p[1] for p in v]
+    n = len(v)
+    suffix = [0.0] * n
+    acc = -math.inf
+    for i in range(n - 1, -1, -1):
+        acc = max(acc, xs[i] + ys[i])
+        suffix[i] = acc
+
+    out = []
+
+    def push(x, y):
+        if out and abs(out[-1][0] - x) <= 1e-15:
+            if y > out[-1][1]:
+                out[-1] = (x, y)
+            return
+        out.append((x, y))
+
+    if xs[0] > 0:
+        push(0.0, suffix[0])
+    for i in range(n):
+        push(xs[i], max(ys[i], suffix[i] - xs[i]))
+        if i + 1 < n:
+            x0, y0, x1, y1 = xs[i], ys[i], xs[i + 1], ys[i + 1]
+            if x1 - x0 <= 1e-15:
+                continue
+            s = (y1 - y0) / (x1 - x0)
+            if abs(s + 1) > 1e-15:
+                xc = (suffix[i + 1] - y0 + s * x0) / (s + 1)
+                if x0 + 1e-15 < xc < x1 - 1e-15:
+                    fc = y0 + s * (xc - x0)
+                    push(xc, max(fc, suffix[i + 1] - xc))
+
+    merged = []
+    for pt in out:
+        while len(merged) >= 2:
+            (ax, ay), (bx, by) = merged[-2], merged[-1]
+            cross = (bx - ax) * (pt[1] - ay) - (by - ay) * (pt[0] - ax)
+            if abs(cross) <= 1e-13:
+                merged.pop()
+            else:
+                break
+        merged.append(pt)
+    return Region(vertices=tuple(merged), kind="polyline", degenerate=region.degenerate)
+
+
+_FIG3 = {d: NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=d) for d in (4, 10)}
+
+
+class TestClosureSuffix:
+    """The accumulated suffix maximum closes every region as the loop did."""
+
+    @pytest.mark.parametrize("cfg,scheme,corrected", [
+        (CFG_FIG2, "both", False), (CFG_FIG2, "both", True), (_FIG3[4], "2", False), (_FIG3[10], "2", False),
+        *((cfg, ("1", "2", "both")[i % 3], i % 2 == 1)
+          for i, (cfg, _) in enumerate(_random_configs(77, 20, log10_p=(-3.0, 8.0), max_d=16))),
+    ])
+    def test_inner_region_matches_loop(self, cfg, scheme, corrected):
+        pts = inner_boundary(cfg, scheme, 64, corrected)
+        polyline = Region(vertices=tuple((p.x, p.y) for p in pts), kind="polyline")
+        want = _rate_transfer_closure_by_loop(polyline)
+        for got in (rate_transfer_closure(polyline), inner_region(cfg, scheme, 64, corrected)):
+            assert got == want
+            assert repr(got) == repr(want)
+
+
+class TestSchemeOneSlack:
+    def test_fast_cap_just_below_a_bin_still_serves_it(self, monkeypatch):
+        # row 1's fast cap lies 5e-13 below the bin at x = 0.5; the bin's
+        # 1e-12 slack still counts it, and its larger sum cap wins
+        fast = np.array([1.0, 0.5 - 5e-13])
+        rsum = np.array([1.5, 3.0])
+        rows = np.array([[0.0, 1.0, 1.0], [0.1, 0.2, 0.3]])
+        monkeypatch.setattr(ib, "_scheme1_table", lambda cfg, n, corrected: (fast, rsum, rows))
+        xs, ys, schemes, B = _best_per_bin(CFG_FIG2, True, False, 10, True)
+        assert xs[5] == 0.5 and xs[5] - fast[1] > 0
+        assert (ys[5], schemes[5]) == (3.0 - 0.5, 1)
+        assert B[5, :3].tolist() == [0.1, 0.2, 0.3]
+        assert B[6, :3].tolist() == [0.0, 1.0, 1.0]  # x = 0.6 is out of its reach
+
+
+def _upper_concave_envelope_by_loop(xs, ys):
+    hull = []
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            cross = (xs[i1] - xs[i0]) * (ys[i] - ys[i0]) - (ys[i1] - ys[i0]) * (xs[i] - xs[i0])
+            if cross >= -1e-15:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def _inner_boundary_by_loop(cfg, scheme, grid_resolution, corrected):
+    """Reference: the per-point loop inner_boundary ran before it was array-native,
+    one searchsorted and up to two witnesses per point, every hull vertex's
+    allocation built up front."""
+    pxs, pys, schemes, B = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
+    if not len(pxs):
+        return []
+    hull = _upper_concave_envelope_by_loop(pxs, pys)
+    hx = pxs[hull]
+    levels = (0, 3, cfg.d_max + 1)
+    allocs = {i: _alloc_from_cumulative(B[i, :levels[schemes[i]]]) for i in hull}
+    px, py, ps = pxs.tolist(), pys.tolist(), schemes.tolist()
+
+    def witness(weight, i):
+        return BoundaryWitness(weight, ps[i], allocs[i], px[i], py[i])
+
+    points = []
+    for x in pxs:
+        j = int(np.searchsorted(hx, x, side="right")) - 1
+        if abs(hx[j] - x) <= 1e-15:
+            y = pys[hull[j]]
+            comp = (witness(1.0, hull[j]),)
+        else:
+            i0, i1 = hull[j], hull[j + 1]
+            t = (x - pxs[i0]) / (pxs[i1] - pxs[i0])
+            y = (1 - t) * pys[i0] + t * pys[i1]
+            if t <= 1e-15 or t >= 1 - 1e-15:
+                comp = (witness(1.0, i0 if t <= 1e-15 else i1),)
+            else:
+                comp = (witness(float(1 - t), i0), witness(float(t), i1))
+        points.append(BoundaryPoint(float(x), float(y), comp))
+    return points
+
+
+_D1 = NetworkConfig(alpha=-0.97, p=2e6, pi=2.4, d_max=1)  # scheme-2 witnesses of 2 layers next to 3
+
+
+def _array_path_configs(grid):
+    """fig2 (mostly timeshare points), the d_max = 1 config and seeded ones, fewer at 4000."""
+    seeded = [cfg for cfg, _ in _random_configs(500 + grid, 2 if grid > 1000 else 8, log10_p=(-3.0, 8.0), max_d=16)]
+    return [CFG_FIG2, _D1, *seeded]
+
+
+class TestArrayBoundary:
+    """The array-native boundary equals the per-point loop bit for bit."""
+
+    @staticmethod
+    def _assert_same(cfg, scheme, grid, corrected):
+        got = inner_boundary(cfg, scheme, grid, corrected)
+        want = _inner_boundary_by_loop(cfg, scheme, grid, corrected)
+        assert len(got) == len(want) > 0
+        assert got.cols["x"].tolist() == [p.x for p in want]
+        assert got.cols["y"].tolist() == [p.y for p in want]
+        assert got.cols["source"].tolist() == [
+            "timeshare" if len(p.components) > 1 else f"scheme{p.components[0].scheme}" for p in want]
+        # repr tells floats apart bit by bit, signed zeros included
+        assert repr(list(got)) == repr(want)
+        assert list(got) == want
+        return got, want
+
+    @pytest.mark.parametrize("grid", [10, 64, 4000])
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("scheme", ["1", "2", "both"])
+    def test_matches_loop(self, scheme, corrected, grid):
+        for cfg in _array_path_configs(grid):
+            self._assert_same(cfg, scheme, grid, corrected)
+
+    def test_fig2_is_mostly_timeshare(self):
+        got, _ = self._assert_same(CFG_FIG2, "both", 64, False)
+        assert (got.cols["source"] == "timeshare").sum() > len(got) / 2
+
+    def test_indexing_matches_the_list(self):
+        got, want = self._assert_same(CFG_FIG2, "both", 64, True)
+        n = len(want)
+        for i in (0, 1, n - 1, -1, -2, -n):
+            assert got[i] == want[i]
+        for sl in (slice(None), slice(-3, None), slice(None, None, 7), slice(5, 2, -1), slice(n + 5, None)):
+            assert got[sl] == want[sl]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                got[i]
+
+    def test_boundaries_compare_like_lists(self):
+        # each sweep makes its own record builder, so equal sweeps compare record by record
+        assert inner_boundary(CFG_FIG2, "both", 64) == inner_boundary(CFG_FIG2, "both", 64)
+        assert inner_boundary(CFG_FIG2, "both", 64) != inner_boundary(CFG_FIG2, "both", 32)
+        assert inner_boundary(CFG_FIG2, "2", 64) == _inner_boundary_by_loop(CFG_FIG2, "2", 64, False)
+
+    def test_len_reads_no_witness(self, monkeypatch):
+        built = []
+
+        def counting(B):
+            built.append(B.tolist())
+            return _alloc_from_cumulative(B)
+
+        monkeypatch.setattr(ib, "_alloc_from_cumulative", counting)
+        pts = inner_boundary(CFG_FIG2, "both", 64)
+        assert len(pts) == 65 and pts
+        assert [c.tolist() for c in pts.cols.values()]  # reading the columns builds nothing either
+        assert built == []
+        first = pts[0]
+        assert len(built) == 1 and pts[0] == first and len(built) == 1
+        points = list(pts)
+        hull_vertices = {(w.x, w.y) for p in points for w in p.components}
+        assert len(built) == len(hull_vertices)  # one allocation per hull vertex, when first read
 
 
 _ALPHAS = st.floats(0.02, 0.98).flatmap(lambda a: st.sampled_from([a, -a]))

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from softhandoff.model import (
@@ -10,6 +11,7 @@ from softhandoff.model import (
     MuxPair,
     NetworkConfig,
     Region,
+    _polyline_ymax,
     _two_cut_polygon,
     boundary_slopes,
     region_contains,
@@ -327,3 +329,47 @@ class TestBoundarySlopes:
         segs = [seg for seg, _ in boundary_slopes(r)]
         xs = [seg[0][0] for seg in segs] + [segs[-1][1][0]]
         assert xs == sorted(xs)
+
+
+def _polyline_ymax_by_loop(region, x):
+    """Reference: the scalar segment walk _polyline_ymax made before it took arrays."""
+    v = region.vertices
+    if x < v[0][0] - VERTEX_TOL or x > v[-1][0] + VERTEX_TOL:
+        return math.nan
+    for (x0, y0), (x1, y1) in zip(v, v[1:]):
+        if x <= x1 or x1 == v[-1][0]:
+            if x1 == x0:
+                return max(y0, y1)
+            t = min(max((x - x0) / (x1 - x0), 0.0), 1.0)
+            return y0 + t * (y1 - y0)
+    return v[-1][1]
+
+
+class TestPolylineInterpolator:
+    """One call over an array gives the scalar walk's bits, nan outside included."""
+
+    @staticmethod
+    def _polylines():
+        rng = random.Random(5)
+        yield Region(vertices=((0.3, 1.7),), kind="polyline")
+        # a vertical step inside and two vertices sharing the last x
+        yield Region(vertices=((0.0, 2.0), (0.5, 1.5), (0.5, 1.0), (1.0, 0.4), (1.0, 0.1)), kind="polyline")
+        for _ in range(40):
+            n = rng.randint(2, 30)
+            xs = sorted(rng.uniform(-1, 3) for _ in range(n))
+            ys = sorted((rng.uniform(0, 3) for _ in range(n)), reverse=True)
+            yield Region(vertices=tuple(zip(xs, ys)), kind="polyline")
+
+    def test_array_matches_scalar_walk(self):
+        rng = random.Random(6)
+        for region in self._polylines():
+            vx = [p[0] for p in region.vertices]
+            lo, hi = vx[0], vx[-1]
+            xs = [*vx, lo - VERTEX_TOL, hi + VERTEX_TOL, lo - 2 * VERTEX_TOL, hi + 2 * VERTEX_TOL,
+                  lo - 1, hi + 1, math.nan, *(rng.uniform(lo - 0.1, hi + 0.1) for _ in range(50))]
+            want = [_polyline_ymax_by_loop(region, x) for x in xs]
+            got = _polyline_ymax(region, np.array(xs))
+            assert [repr(float(y)) for y in got] == [repr(y) for y in want]
+            for x, w in zip(xs, want):
+                y = _polyline_ymax(region, x)
+                assert type(y) is float and repr(y) == repr(w)
