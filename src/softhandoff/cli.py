@@ -91,8 +91,8 @@ def _parse_k(text: str) -> float:
     if str(text).lower() in ("inf", "infinity", "asymptotic"):
         return ASYMPTOTIC_K
     try:
-        return int(text)
-    except (TypeError, ValueError):
+        return int(str(text))  # a float such as 2.5 is refused, not truncated
+    except ValueError:
         raise ValueError(f"k must be an integer or inf, got {text!r}") from None
 
 
@@ -115,30 +115,22 @@ def _checked(params: dict, name: str, default, *types: type):
 def _run_region(params: dict) -> list[str]:
     kind = params["kind"]
     out = _checked(params, "out", None, str, type(None)) or os.path.join(_outdir(), f"region_{kind}.csv")
-    grid, corrected = _checked(params, "grid", 64, int), _checked(params, "corrected", False, bool)
-
-    # only mux reads --mu, but every kind rejects a bad one
-    spec = MuxRegionSpec(
-        mode=params.get("mode", "rx_bidirectional"),
-        mu=params.get("mu", 0.0),
-        d_max=params.get("dmax", 1),
-    )
     if kind == "mux":
+        spec = MuxRegionSpec(mode=params.get("mode", "rx_bidirectional"), mu=params.get("mu", 0.0),
+                             d_max=params.get("dmax", 1))
         _write_chain(out, ["s_fast", "s_slow", "source"], upper_chain(mux_region(spec)), spec.mode)
         return [out]
 
-    cfg = NetworkConfig(
-        alpha=params["alpha"],
-        p=params["p"],
-        k=_parse_k(params.get("k", "inf")),
-        pi=params.get("pi", 0.0),
-        d_max=params.get("dmax", 1),
-    )
     if kind == "outer":
+        cfg = NetworkConfig(alpha=params["alpha"], p=params["p"], k=_parse_k(params.get("k", "inf")),
+                            pi=params.get("pi", 0.0))
         _write_chain(out, ["x_rate_bits", "y_rate_bits", "source"], upper_chain(outer_region(cfg)), "outer")
         return [out]
 
-    if kind == "inner":
+    if kind == "inner":  # the K -> infinity sweep, so no k
+        grid, corrected = _checked(params, "grid", 64, int), _checked(params, "corrected", False, bool)
+        cfg = NetworkConfig(alpha=params["alpha"], p=params["p"], pi=params.get("pi", 0.0),
+                            d_max=params.get("dmax", 1))
         scheme = str(params.get("scheme", "both"))
         pts = inner_boundary(cfg, scheme, grid, corrected)
         ref_label = match_inner_reference(scheme, cfg.p, cfg.alpha, cfg.pi, cfg.d_max)
@@ -178,26 +170,29 @@ def _run_simulate(params: dict) -> list[str]:
 
 
 def _run_compare(params: dict, stream) -> None:
-    label = params["label"]
+    label, path = params["label"], params["csv"]
     ref = get_reference(label)
-    path = params["csv"]
-    xs, ys = [], []
+    pts = []
     with open(path) as fh:
-        next(fh)
-        for line in fh:
+        next(fh, None)
+        for n, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) >= 2:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
-    if not xs:
+                try:
+                    pts.append((float(parts[0]), float(parts[1])))
+                    if not np.isfinite(sum(pts[-1])):  # a NaN would drop out of max |dy|
+                        raise ValueError(f"cells must be finite, got {line.strip()!r}")
+                except ValueError as err:
+                    raise ValueError(f"{path}, line {n}: {err}") from None
+    if not pts:
         raise ValueError(f"no data rows in {path}")
 
-    lo = max(min(xs), min(p[0] for p in ref))
-    hi = min(max(xs), max(p[0] for p in ref))
+    lo = max(min(pts)[0], min(p[0] for p in ref))
+    hi = min(max(pts)[0], max(p[0] for p in ref))
     if lo > hi + 1e-12:
         raise ValueError("x ranges of reference and computed curve do not overlap")
 
-    computed = Region(vertices=tuple(sorted(zip(xs, ys))), kind="polyline")
+    computed = Region(vertices=tuple(sorted(pts)), kind="polyline")
     shown = [(rx, ry) for rx, ry in ref if lo - 1e-12 <= rx <= hi + 1e-12]
     cys = _polyline_ymax(computed, np.array([rx for rx, _ in shown], dtype=float)).tolist()
     print(f"comparison against {label} on x in [{_fmt(lo)}, {_fmt(hi)}]", file=stream)
@@ -243,19 +238,23 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     reg = sub.add_parser("region", help="emit a region boundary as CSV")
-    reg.add_argument("kind", choices=["inner", "outer", "mux"])
-    reg.add_argument("--k", default="inf")
-    reg.add_argument("--p", type=float, default=5.0)
-    reg.add_argument("--alpha", type=float, default=0.2)
-    reg.add_argument("--pi", type=float, default=0.0)
-    reg.add_argument("--dmax", type=int, default=1)
-    reg.add_argument("--mu", type=float, default=0.0)
-    reg.add_argument("--mode", default="rx_bidirectional",
+    kinds = reg.add_subparsers(dest="kind", required=True)
+    inner, outer, mux = (kinds.add_parser(kind) for kind in ("inner", "outer", "mux"))  # inner: K -> inf
+    outer.add_argument("--k", default="inf")
+    for kp in (inner, outer):
+        kp.add_argument("--p", type=float, default=5.0)
+        kp.add_argument("--alpha", type=float, default=0.2)
+        kp.add_argument("--pi", type=float, default=0.0)
+    for kp in (inner, mux):
+        kp.add_argument("--dmax", type=int, default=1)
+    mux.add_argument("--mu", type=float, default=0.0)
+    mux.add_argument("--mode", default="rx_bidirectional",
                      choices=["rx_bidirectional", "rx_unidirectional", "tx_conferencing"])
-    reg.add_argument("--scheme", default="both", choices=["1", "2", "both"])
-    reg.add_argument("--grid", type=int, default=64)
-    reg.add_argument("--corrected", action="store_true")
-    reg.add_argument("--out")
+    inner.add_argument("--scheme", default="both", choices=["1", "2", "both"])
+    inner.add_argument("--grid", type=int, default=64)
+    inner.add_argument("--corrected", action="store_true")
+    for kp in (inner, outer, mux):
+        kp.add_argument("--out")
 
     sim = sub.add_parser("simulate", help="run a silencing conferencing scheme")
     sim.add_argument("mode", choices=["rx", "tx"])
@@ -295,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         if command == "simulate":
             params["p_ladder"] = _parse_ladder(params["p_ladder"].split(","))
         return _dispatch(command, params, sys.stdout)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # pragma: no cover - defensive

@@ -298,10 +298,6 @@ class SchemeTwoTerms:
     def conf_load(self) -> float:
         return self.i_u_y + sum(self.chain)
 
-    @property
-    def total(self) -> float:
-        return self.conf_load + self.i_final
-
 
 def scheme1_term_groups(spec: JointGaussianSpec) -> dict[str, tuple[list[int], list[int], list[int]]]:
     """Index groups (A, B, C) of each 3-layer scheme term.

@@ -60,6 +60,13 @@ class NetworkConfig:
     d_max: int = 1
 
 
+def _check_d_max(d_max) -> None:
+    if isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral):
+        raise ValueError(f"d_max must be an integer, got {d_max!r}")
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
+
+
 def validate_config(cfg: NetworkConfig) -> NetworkConfig:
     """Check all model invariants; return cfg unchanged if they hold.
 
@@ -77,10 +84,11 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
         raise ValueError("p must be positive")
     if cfg.pi < 0:
         raise ValueError("pi must be nonnegative")
-    if cfg.d_max < 1:
-        raise ValueError("d_max must be at least 1")
+    _check_d_max(cfg.d_max)
+    if isinstance(cfg.k, bool) or not isinstance(cfg.k, numbers.Real):
+        raise ValueError(f"k must be a real number, got {cfg.k!r}")
     if cfg.k != ASYMPTOTIC_K:
-        if cfg.k != int(cfg.k):
+        if not (math.isfinite(cfg.k) and cfg.k == int(cfg.k)):
             raise ValueError("k must be an integer or ASYMPTOTIC_K")
         if cfg.k < 2:
             raise ValueError("k must be at least 2")

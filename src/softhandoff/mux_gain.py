@@ -18,7 +18,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import MuxPair, Region, _two_cut_polygon
+from .model import MuxPair, Region, _check_d_max, _two_cut_polygon
 
 __all__ = ["MuxRegionSpec", "mux_region", "corner_points", "timeshare_point", "mu_max"]
 
@@ -38,12 +38,9 @@ class MuxRegionSpec:
             raise ValueError(f"mode must be one of {_MODES}")
         if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real) or not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite and real, got {self.mu!r}")
-        if isinstance(self.d_max, bool) or not isinstance(self.d_max, numbers.Integral):
-            raise ValueError(f"d_max must be an integer, got {self.d_max!r}")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-        if self.d_max < 1:
-            raise ValueError("d_max must be at least 1")
+        _check_d_max(self.d_max)
 
 
 def _sum_cap(spec: MuxRegionSpec) -> Fraction:

@@ -70,7 +70,6 @@ class TestRegionCommand:
             ("inner", "--alpha", "nan"),
             ("inner", "--pi", "nan"),
             ("outer", "--p", "inf"),
-            ("inner", "--mu", "nan"),
             ("mux", "--mu", "nan"),
         ],
     )
@@ -80,6 +79,20 @@ class TestRegionCommand:
         assert code == 2
         assert f"{flag[2:]} must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,flag", [
+        *(("inner", flag) for flag in ("--k", "--mu", "--mode")),
+        *(("outer", flag) for flag in ("--dmax", "--mu", "--mode", "--scheme", "--grid", "--corrected")),
+        *(("mux", flag) for flag in ("--k", "--p", "--alpha", "--pi", "--scheme", "--grid", "--corrected")),
+    ])
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, kind, flag):
+        # each kind takes only the flags it reads: inner is the K -> inf sweep, mux needs no channel
+        value = {"--corrected": [], "--mode": ["rx_bidirectional"], "--scheme": ["2"], "--p": ["-1"]}.get(flag, ["5"])
+        with pytest.raises(SystemExit) as exc:
+            main(["region", kind, flag, *value, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join([flag, *value])}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["2.5", "1e400", "abc"])
     def test_bad_k_exit_2_names_k(self, tmp_path, capsys, value):
@@ -163,6 +176,25 @@ class TestCompareCommand:
         dev = [ln for ln in text.splitlines() if ln.startswith("0,")][0]
         assert float(dev.split(",")[3]) == pytest.approx(0.17568, abs=1e-3)
 
+    @pytest.mark.parametrize("row,message", [
+        ("abc,0.5,inner", "could not convert string to float: 'abc'"),
+        ("0.5,nan,inner", "cells must be finite, got '0.5,nan,inner'"),
+        ("inf,0.5,inner", "cells must be finite, got 'inf,0.5,inner'"),
+    ], ids=["text", "nan", "inf"])
+    def test_bad_cell_names_file_and_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x_rate_bits,y_rate_bits,source\n0,1,inner\n{row}\n")
+        code, _, err = run_cli(["compare", "fig2_inner", str(path)], capsys)
+        assert code == 2
+        assert f"{path}, line 3: {message}" in err
+
+    def test_empty_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, _, err = run_cli(["compare", "fig2_inner", str(path)], capsys)
+        assert code == 2
+        assert "no data rows" in err
+
     def test_unknown_label_exit_2(self, tmp_path, capsys):
         out = tmp_path / "mux.csv"
         run_cli(["region", "mux", "--out", str(out)], capsys)
@@ -210,14 +242,22 @@ class TestManifestRoundTrip:
         assert code == 0
         assert redo.read_bytes() == out.read_bytes()
 
-    def test_region_mux_rerun_needs_no_unread_params(self, tmp_path, capsys):
-        # region mux reads neither alpha nor p, so a hand-written manifest may leave them out
-        out = tmp_path / "mux.csv"
-        run_cli(["region", "mux", "--mu", "0.3", "--dmax", "2", "--out", str(out)], capsys)
-        path = tmp_path / "mux.csv.manifest.json"
+    @pytest.mark.parametrize("argv", [
+        ["region", "inner", "--scheme", "2", "--pi", "2", "--dmax", "4", "--grid", "12"],
+        ["region", "outer", "--k", "3", "--pi", "0.5"],
+        ["region", "mux", "--mu", "0.3", "--dmax", "2", "--mode", "tx_conferencing"],
+    ], ids=["inner", "outer", "mux"])
+    def test_parent_format_manifest_reruns_byte_identical(self, tmp_path, capsys, argv):
+        # manifests once held all eleven region flags, whichever the kind read
+        all_flags = {"k": "inf", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 1, "mu": 0.0, "mode": "rx_bidirectional",
+                     "scheme": "both", "grid": 64, "corrected": False, "out": None}
+        out = tmp_path / "first.csv"
+        run_cli([*argv, "--out", str(out)], capsys)
+        path = tmp_path / "first.csv.manifest.json"
         doc = json.loads(path.read_text())
-        del doc["params"]["alpha"], doc["params"]["p"]
-        path.write_text(json.dumps(doc))
+        doc["params"] = {**all_flags, **doc["params"]}
+        assert len(doc["params"]) == 12  # the eleven flags and the kind
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         redo = tmp_path / "redone.csv"
         code, _, _ = run_cli(["rerun", str(path), "--out", str(redo)], capsys)
         assert code == 0
@@ -378,14 +418,13 @@ _ABSENT = object()
 
 @pytest.mark.parametrize("argv,params", [
     (["region", "inner", "--scheme", "2", "--grid", "16", "--dmax", "2"],
-     {"kind": "inner", "k": "inf", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 2, "mu": 0.0,
-      "mode": "rx_bidirectional", "scheme": "2", "grid": 16, "corrected": False}),
+     {"kind": "inner", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 2, "scheme": "2", "grid": 16, "corrected": False}),
+    (["region", "outer", "--k", "3"], {"kind": "outer", "k": "3", "p": 5.0, "alpha": 0.2, "pi": 0.0}),
     (["region", "mux", "--mu", "0.3", "--dmax", "2"],
-     {"kind": "mux", "k": "inf", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 2, "mu": 0.3,
-      "mode": "rx_bidirectional", "scheme": "both", "grid": 64, "corrected": False}),
+     {"kind": "mux", "dmax": 2, "mu": 0.3, "mode": "rx_bidirectional"}),
     (["simulate", "rx", "--k", "12", "--dmax", "2"],
      {"mode": "rx", "k": 12, "dmax": 2, "alpha": 0.5, "p_ladder": [100.0, 10000.0, 1000000.0]}),
-], ids=["region_inner", "region_mux", "simulate"])
+], ids=["region_inner", "region_outer", "region_mux", "simulate"])
 def test_manifest_params(tmp_path, capsys, argv, params):
     doc = _manifest(tmp_path, capsys, argv)
     assert doc["command"] == argv[0]
@@ -444,6 +483,23 @@ class TestMalformedManifest:
         assert code == 2
         assert "out must be str or NoneType, got 7" in err
 
+    @pytest.mark.parametrize("value", [2.5, "2", None, True])
+    def test_region_inner_dmax(self, tmp_path, capsys, value):
+        doc = _manifest(tmp_path, capsys, ["region", "inner", "--scheme", "2", "--grid", "16", "--dmax", "2"])
+        doc["params"]["dmax"] = value
+        code, _, err = _rerun_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"d_max must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", [2.5, 3.7, True])
+    def test_region_outer_k_not_an_integer(self, tmp_path, capsys, value):
+        # a fractional k once ran truncated to an integer
+        doc = _manifest(tmp_path, capsys, ["region", "outer", "--k", "3"])
+        doc["params"]["k"] = value
+        code, _, err = _rerun_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert f"k must be an integer or inf, got {value!r}" in err
+
     def test_region_outer_null_k(self, tmp_path, capsys):
         doc = _manifest(tmp_path, capsys, ["region", "outer", "--k", "3"])
         doc["params"]["k"] = None
@@ -486,15 +542,16 @@ def test_region_inner_always_writes_a_data_row(log_p, alpha, pi, dmax, scheme, c
 
 def test_parser_built_once_and_calls_parse_independently(tmp_path, capsys):
     # options given to one call must not leak into the next call's defaults
-    region_defaults = {"k": "inf", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 1, "mu": 0.0,
-                       "mode": "rx_bidirectional", "scheme": "both", "grid": 64, "corrected": False}
+    inner_defaults = {"kind": "inner", "p": 5.0, "alpha": 0.2, "pi": 0.0, "dmax": 1, "scheme": "both", "grid": 64,
+                      "corrected": False}
     calls = [
         (["region", "inner", "--scheme", "2", "--grid", "16", "--dmax", "3", "--corrected", "--p", "7"],
-         {**region_defaults, "kind": "inner", "scheme": "2", "grid": 16, "dmax": 3, "corrected": True, "p": 7.0}),
-        (["region", "outer"], {**region_defaults, "kind": "outer"}),
+         {**inner_defaults, "scheme": "2", "grid": 16, "dmax": 3, "corrected": True, "p": 7.0}),
+        (["region", "outer"], {"kind": "outer", "k": "inf", "p": 5.0, "alpha": 0.2, "pi": 0.0}),
         (["simulate", "tx", "--k", "12", "--dmax", "2", "--alpha", "0.3"],
          {"mode": "tx", "k": 12, "dmax": 2, "alpha": 0.3, "p_ladder": [100.0, 10000.0, 1000000.0]}),
-        (["region", "inner", "--grid", "10"], {**region_defaults, "kind": "inner", "grid": 10}),
+        (["region", "inner", "--grid", "10"], {**inner_defaults, "grid": 10}),
+        (["region", "mux", "--mu", "0.2"], {"kind": "mux", "mu": 0.2, "dmax": 1, "mode": "rx_bidirectional"}),
     ]
     for i, (argv, params) in enumerate(calls):
         (tmp_path / str(i)).mkdir()
@@ -502,3 +559,59 @@ def test_parser_built_once_and_calls_parse_independently(tmp_path, capsys):
         assert doc["params"] == {**params, "out": str(tmp_path / str(i) / "first")}, argv
     assert cli._parser() is cli._parser()
     assert cli._parser.cache_info().currsize == 1
+
+
+class TestPathErrors:
+    """A path the user names that is a directory, or under a file, exits 2."""
+
+    def test_region_out_is_a_directory(self, tmp_path, capsys):
+        code, _, err = run_cli(["region", "inner", "--grid", "12", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: [Errno 21] Is a directory")
+
+    def test_region_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, _, err = run_cli(["region", "mux", "--out", str(tmp_path / "file" / "mux.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error: [Errno 20] Not a directory")
+
+    def test_compare_csv_is_a_directory(self, tmp_path, capsys):
+        code, _, err = run_cli(["compare", "fig2_inner", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: [Errno 21] Is a directory")
+
+    def test_rerun_manifest_is_a_directory(self, tmp_path, capsys):
+        code, _, err = run_cli(["rerun", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: [Errno 21] Is a directory")
+
+
+class _Recording(dict):
+    """A params dict that records every key a runner reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "inner", "--grid", "12"], ["region", "outer"], ["region", "mux"],
+    ["simulate", "rx", "--k", "12", "--dmax", "2"],
+], ids=["inner", "outer", "mux", "simulate"])
+def test_runner_reads_every_flag(tmp_path, argv):
+    # a flag that nothing reads is a dead option: each parser dest must be a key its runner reads
+    params = vars(cli._parser().parse_args([*argv, "--out", str(tmp_path / "x")]))
+    command = params.pop("command")
+    if command == "simulate":
+        params["p_ladder"] = cli._parse_ladder(params["p_ladder"].split(","))
+    recording = _Recording(params)
+    {"region": cli._run_region, "simulate": cli._run_simulate}[command](recording)
+    assert recording.read == set(params)

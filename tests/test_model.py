@@ -129,11 +129,17 @@ class TestValidateConfig:
             ("pi", NetworkConfig(alpha=0.2, p=5.0, pi=math.inf)),
             ("alpha", NetworkConfig(alpha=math.inf, p=5.0)),
             ("p", NetworkConfig(alpha=0.2, p=math.nan)),
+            # mistyped fields raise a ValueError naming them, not a TypeError from a comparison
+            *(("d_max", NetworkConfig(alpha=0.2, p=5.0, d_max=v)) for v in (2.5, True, None, "2")),
+            *(("k", NetworkConfig(alpha=0.2, p=5.0, k=v)) for v in (None, True, "3", math.nan, -math.inf)),
         ],
     )
     def test_rejects_and_names_field(self, field, cfg):
         with pytest.raises(ValueError, match=field):
             validate_config(cfg)
+
+    def test_numpy_integers_accepted(self):
+        validate_config(NetworkConfig(alpha=0.2, p=5.0, k=np.int64(5), d_max=np.int64(3)))
 
     def test_asymptotic_k_accepted(self):
         validate_config(NetworkConfig(alpha=-0.5, p=1.0, k=ASYMPTOTIC_K))
