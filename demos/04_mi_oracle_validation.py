@@ -14,7 +14,7 @@ from softhandoff import (
     scheme1_terms,
     scheme2_terms,
 )
-from softhandoff.gaussian_mi import cf_chain_term, cf_final_term, scheme2_term_groups
+from softhandoff.gaussian_mi import cf_term, scheme2_layers, scheme2_term_groups
 
 cfg = NetworkConfig(alpha=0.2, p=5.0, d_max=2)
 alloc = PowerAllocation((0.25, 0.35, 0.4))
@@ -22,12 +22,12 @@ spec = layered_covariance(alloc, cfg)
 
 print("=== one allocation, three routes ===")
 t = scheme2_terms(alloc, cfg)
-B = alloc.cumulative()
+B = (0.0, *alloc.cumulative())  # B[j]: the cumulative power of depth j
 groups = scheme2_term_groups(spec, cfg.d_max)
+# each term (j, k, m) is I(own layers j+1..k; Y, neighbour layers 1..m | own layers 1..j)
 closed = {
-    "i_u_y": float(cf_chain_term(0.0, B[0], B[-1], cfg.p, cfg.alpha)),
-    "chain_1": float(cf_chain_term(B[0], B[1], B[-1], cfg.p, cfg.alpha)),
-    "i_final": float(cf_final_term(B[1], B[-1], cfg.p)),
+    name: float(cf_term(B[j], B[k], B[m], B[-1], cfg.p, cfg.alpha))
+    for name, (j, k, m) in scheme2_layers(cfg.d_max).items()
 }
 for name in ("i_u_y", "chain_1", "i_final"):
     det = gaussian_mi(spec, *groups[name])

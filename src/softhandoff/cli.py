@@ -177,13 +177,14 @@ def _run_compare(params: dict, stream) -> None:
         next(fh, None)
         for n, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if len(parts) >= 2:
-                try:
-                    pts.append((float(parts[0]), float(parts[1])))
-                    if not np.isfinite(sum(pts[-1])):  # a NaN would drop out of max |dy|
-                        raise ValueError(f"cells must be finite, got {line.strip()!r}")
-                except ValueError as err:
-                    raise ValueError(f"{path}, line {n}: {err}") from None
+            try:
+                if len(parts) < 2:
+                    raise ValueError(f"a row needs two cells, got {line.strip()!r}")
+                pts.append((float(parts[0]), float(parts[1])))
+                if not np.isfinite(sum(pts[-1])):  # a NaN would drop out of max |dy|
+                    raise ValueError(f"cells must be finite, got {line.strip()!r}")
+            except ValueError as err:
+                raise ValueError(f"{path}, line {n}: {err}") from None
     if not pts:
         raise ValueError(f"no data rows in {path}")
 

@@ -40,11 +40,12 @@ log are computed on the columns, every sum added left to right in log order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Columns, MuxPair, NetworkConfig, validate_config
+from .model import Columns, MuxPair, NetworkConfig, _check_d_max, validate_config
 
 __all__ = [
     "Subnet",
@@ -134,8 +135,9 @@ def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
     preserves the isolation invariant at a vanishing rate cost.  Requires
     d_max >= 1 and 2*d_max+2 <= k <= _MAX_K.
     """
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
+    _check_d_max(d_max)
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k > _MAX_K:
         raise ValueError(f"k must be at most {_MAX_K}")
     period = 2 * d_max + 2

@@ -11,13 +11,17 @@ term reduces to index groups over the base variables
 
 and evaluates in closed form from log-determinants.  A Monte-Carlo estimator
 built on empirical second moments and Schur-complement conditional entropies
-serves as an independent oracle for the determinant path.  The vectorised
-region sweep uses four closed forms in cumulative powers (cf_*); one of them,
-cf_chain_term, gives every conferencing round, both fast caps and the
-decode-consistent final term.
+serves as an independent oracle for the determinant path.
+
+Every rate term of both schemes is I(own layers j+1..k; Y, neighbour layers
+1..m | own layers 1..j) for one triple (j, k, m) of layer depths.  The layer
+tables SCHEME1_LAYERS and scheme2_layers name each term's triple; the index
+groups of the determinant path and the one closed form of the vectorised
+region sweep, cf_term, are both read off it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +37,8 @@ __all__ = [
     "layered_covariance",
     "gaussian_mi",
     "mc_mutual_information",
+    "SCHEME1_LAYERS",
+    "scheme2_layers",
     "scheme1_term_groups",
     "scheme2_term_groups",
     "scheme1_terms",
@@ -73,11 +79,7 @@ class PowerAllocation:
 
     def cumulative(self) -> tuple[float, ...]:
         """B_j = beta_1 + ... + beta_j."""
-        out, acc = [], 0.0
-        for b in self.fractions:
-            acc += b
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.fractions, initial=0.0))[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,26 +110,24 @@ def layered_covariance(alloc: PowerAllocation, cfg: NetworkConfig) -> JointGauss
     """
     L = alloc.num_layers
     p, a = cfg.p, cfg.alpha
-    n = 2 * L + 2
-    cov = np.zeros((n, n))
-    for i, b in enumerate(alloc.fractions):
-        cov[i, i] = b * p
-        cov[L + i, L + i] = b * p
     z, y = 2 * L, 2 * L + 1
-    cov[z, z] = 1.0
-    total = sum(alloc.fractions) * p
+    cov = np.zeros((y + 1, y + 1))
     for i, b in enumerate(alloc.fractions):
-        cov[i, y] = cov[y, i] = b * p
+        cov[i, i] = cov[L + i, L + i] = cov[i, y] = cov[y, i] = b * p
         cov[L + i, y] = cov[y, L + i] = a * b * p
-    cov[z, y] = cov[y, z] = 1.0
-    cov[y, y] = total * (1 + a * a) + 1.0
+    cov[z, z] = cov[z, y] = cov[y, z] = 1.0
+    cov[y, y] = sum(alloc.fractions) * p * (1 + a * a) + 1.0
     return JointGaussianSpec(cov=cov, num_layers=L)
 
 
-def _reduce(spec: JointGaussianSpec, group) -> list[int]:
-    """Drop deterministic (zero-variance) variables from an index group."""
+def _reduced_groups(spec: JointGaussianSpec, group_a, group_b, cond) -> list[list[int]]:
+    """A, B and C sorted, without their deterministic (zero-variance)
+    variables; ValueError unless the three are pairwise disjoint."""
+    a, b, c = set(group_a), set(group_b), set(cond)
+    if a & c or b & c or a & b:
+        raise ValueError("index groups must be pairwise disjoint")
     scale = max(1.0, float(np.max(np.diag(spec.cov))))
-    return [i for i in group if spec.cov[i, i] > _VAR_EPS * scale]
+    return [sorted(i for i in g if spec.cov[i, i] > _VAR_EPS * scale) for g in (a, b, c)]
 
 
 def _logdet(cov: np.ndarray, idx: list[int]) -> float:
@@ -152,12 +152,7 @@ def gaussian_mi(spec: JointGaussianSpec, group_a, group_b, cond=()) -> float:
 
     after removing deterministic variables.  Result is clamped to >= 0.
     """
-    a, b, c = set(group_a), set(group_b), set(cond)
-    if a & c or b & c or a & b:
-        raise ValueError("index groups must be pairwise disjoint")
-    a = sorted(_reduce(spec, a))
-    b = sorted(_reduce(spec, b))
-    c = sorted(_reduce(spec, c))
+    a, b, c = _reduced_groups(spec, group_a, group_b, cond)
     if not a or not b:
         return 0.0
     cov = spec.cov
@@ -214,12 +209,7 @@ def mc_mutual_information(
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
-    a, b, c = set(group_a), set(group_b), set(cond)
-    if a & c or b & c or a & b:
-        raise ValueError("index groups must be pairwise disjoint")
-    a = sorted(_reduce(spec, a))
-    b = sorted(_reduce(spec, b))
-    c = sorted(_reduce(spec, c))
+    a, b, c = _reduced_groups(spec, group_a, group_b, cond)
     if not a or not b:
         return 0.0
 
@@ -299,36 +289,49 @@ class SchemeTwoTerms:
         return self.i_u_y + sum(self.chain)
 
 
-def scheme1_term_groups(spec: JointGaussianSpec) -> dict[str, tuple[list[int], list[int], list[int]]]:
-    """Index groups (A, B, C) of each 3-layer scheme term.
+#: The (j, k, m) triple of each 3-layer scheme term.  The slow terms
+#: condition on the depth-1 auxiliary as printed, or on the depth-2 level.
+SCHEME1_LAYERS = {
+    "i_u2_y": (0, 2, 0),
+    "i_u2_y_given_u1": (1, 2, 0),
+    "i_x_slow_given_u1": (1, 3, 1),
+    "i_x_slow_given_u2": (2, 3, 1),
+}
 
-    Auxiliaries are cumulative layer sums, so conditioning on a depth means
-    conditioning on its layers and the "new information" group is the layer
-    difference; the information content is identical either way.
-    """
-    y = spec.idx_y
-    w1p = spec.idx_nb(1)
+
+def scheme2_layers(d_max: int) -> dict[str, tuple[int, int, int]]:
+    """The (j, k, m) triple of each (d_max+1)-layer scheme term, keyed i_u_y,
+    chain_1..chain_{d_max-1}, i_final, i_final_corrected: round d adds layer
+    d+1 with the neighbour's depth-d level known, and the final term the top
+    layer with the neighbour's full input (printed) or its conferenced
+    levels (corrected) known."""
     return {
-        "i_u2_y": ([0, 1], [y], []),
-        "i_u2_y_given_u1": ([1], [y], [0]),
-        "i_x_slow_given_u1": ([1, 2], [y, w1p], [0]),
-        "i_x_slow_given_u2": ([2], [y, w1p], [0, 1]),
+        "i_u_y": (0, 1, 0),
+        **{f"chain_{d}": (d, d + 1, d) for d in range(1, d_max)},
+        "i_final": (d_max, d_max + 1, d_max + 1),
+        "i_final_corrected": (d_max, d_max + 1, d_max),
     }
 
 
+def _term_groups(spec: JointGaussianSpec, layers: dict) -> dict[str, tuple[list[int], list[int], list[int]]]:
+    """Index groups (A, B, C) of each term (j, k, m): own layers j+1..k, then
+    Y and neighbour layers 1..m, then own layers 1..j.  Auxiliaries are
+    cumulative layer sums, so conditioning on a depth means conditioning on
+    its layers, and the new information is the layer difference."""
+    return {
+        name: (list(range(j, k)), [spec.idx_y] + [spec.idx_nb(i) for i in range(1, m + 1)], list(range(j)))
+        for name, (j, k, m) in layers.items()
+    }
+
+
+def scheme1_term_groups(spec: JointGaussianSpec) -> dict[str, tuple[list[int], list[int], list[int]]]:
+    """Index groups (A, B, C) of each 3-layer scheme term."""
+    return _term_groups(spec, SCHEME1_LAYERS)
+
+
 def scheme2_term_groups(spec: JointGaussianSpec, d_max: int) -> dict[str, tuple[list[int], list[int], list[int]]]:
-    """Index groups of the (d_max+1)-layer scheme terms, keyed i_u_y,
-    chain_1..chain_{d_max-1}, i_final, i_final_corrected."""
-    y = spec.idx_y
-    L = spec.num_layers
-    groups: dict[str, tuple[list[int], list[int], list[int]]] = {"i_u_y": ([0], [y], [])}
-    for d in range(1, d_max):
-        nb_known = [spec.idx_nb(j) for j in range(1, d + 1)]
-        groups[f"chain_{d}"] = ([d], [y] + nb_known, list(range(d)))
-    nb_all = [spec.idx_nb(j) for j in range(1, L + 1)]
-    groups["i_final"] = ([L - 1], [y] + nb_all, list(range(L - 1)))
-    groups["i_final_corrected"] = ([L - 1], [y] + nb_all[:-1], list(range(L - 1)))
-    return groups
+    """Index groups of the (d_max+1)-layer scheme terms, keyed as scheme2_layers."""
+    return _term_groups(spec, scheme2_layers(d_max))
 
 
 def scheme1_terms(alloc: PowerAllocation, cfg: NetworkConfig) -> SchemeOneTerms:
@@ -336,13 +339,7 @@ def scheme1_terms(alloc: PowerAllocation, cfg: NetworkConfig) -> SchemeOneTerms:
     if alloc.num_layers != 3:
         raise ValueError("scheme 1 uses exactly 3 layers")
     spec = layered_covariance(alloc, cfg)
-    g = scheme1_term_groups(spec)
-    return SchemeOneTerms(
-        i_u2_y=gaussian_mi(spec, *g["i_u2_y"]),
-        i_u2_y_given_u1=gaussian_mi(spec, *g["i_u2_y_given_u1"]),
-        i_x_slow_given_u1=gaussian_mi(spec, *g["i_x_slow_given_u1"]),
-        i_x_slow_given_u2=gaussian_mi(spec, *g["i_x_slow_given_u2"]),
-    )
+    return SchemeOneTerms(**{name: gaussian_mi(spec, *g) for name, g in scheme1_term_groups(spec).items()})
 
 
 def scheme2_terms(alloc: PowerAllocation, cfg: NetworkConfig) -> SchemeTwoTerms:
@@ -353,67 +350,31 @@ def scheme2_terms(alloc: PowerAllocation, cfg: NetworkConfig) -> SchemeTwoTerms:
     conferencing round d, with the neighbour's previously decoded level as
     side information.
     """
-    L = alloc.num_layers
-    if L != cfg.d_max + 1:
+    if alloc.num_layers != cfg.d_max + 1:
         raise ValueError(f"scheme 2 with d_max={cfg.d_max} needs {cfg.d_max + 1} layers")
     spec = layered_covariance(alloc, cfg)
-    groups = scheme2_term_groups(spec, cfg.d_max)
-    i_u_y = gaussian_mi(spec, *groups["i_u_y"])
-    chain = tuple(
-        gaussian_mi(spec, *groups[f"chain_{d}"]) for d in range(1, cfg.d_max)
-    )
-    return SchemeTwoTerms(
-        i_u_y=i_u_y,
-        chain=chain,
-        i_final=gaussian_mi(spec, *groups["i_final"]),
-        i_final_corrected=gaussian_mi(spec, *groups["i_final_corrected"]),
-    )
+    t = {name: gaussian_mi(spec, *g) for name, g in scheme2_term_groups(spec, cfg.d_max).items()}
+    i_u_y, i_final, i_final_corrected = t.pop("i_u_y"), t.pop("i_final"), t.pop("i_final_corrected")
+    return SchemeTwoTerms(i_u_y=i_u_y, chain=tuple(t.values()), i_final=i_final, i_final_corrected=i_final_corrected)
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (cumulative-layer algebra; cross-checked against the
+# Closed form (cumulative-layer algebra; cross-checked against the
 # determinant path to 1e-9 by the test suite)
 # ---------------------------------------------------------------------------
 
-def cf_cum_vs_y_cond(b_low, b_high, b_total, p, alpha):
-    """I(depth-high auxiliary; Y | depth-low auxiliary)."""
-    a2 = alpha * alpha
-    num = 1 + (b_total - b_low) * p + a2 * b_total * p
-    den = 1 + (b_total - b_high) * p + a2 * b_total * p
-    return 0.5 * np.log2(num / den)
+def cf_term(b_j, b_k, b_m, b_total, p, alpha):
+    """The term (j, k, m) at the cumulative powers B_j <= B_k <= B_total and
+    B_m of its depths: I(own layers j+1..k; Y, neighbour layers 1..m | own
+    layers 1..j).
 
-
-def cf_scheme1_slow(b_cond, b1, b_total, p, alpha):
-    """Slow-rate term I(X; Y, U1' | conditioning level).
-
-    b_cond is the own-side conditioning depth (B_1 as printed, B_2 for the
-    corrected variant); the neighbour's depth-1 layer of power b1 is side
-    information either way.
+    Knowing own layers 1..j and neighbour layers 1..m leaves Y the variance
+    1 + (T - B_j) P + a^2 (T - B_m) P, and own layers up to k take out
+    (B_k - B_j) P more.  The numerator is written as (T - B_j) P (1 + a^2)
+    less a^2 (B_m - B_j) P, so a term with m = j (every round, both fast
+    caps, the corrected final term) loses no bits to the second part.
     """
     a2 = alpha * alpha
-    num = 1 + (b_total - b_cond) * p + a2 * (b_total - b1) * p
-    den = 1 + a2 * (b_total - b1) * p
+    num = 1 + (b_total - b_j) * p * (1 + a2) - a2 * (b_m - b_j) * p
+    den = 1 + (b_total - b_k) * p + a2 * (b_total - b_m) * p
     return 0.5 * np.log2(num / den)
-
-
-def cf_chain_term(b_low, b_high, b_total, p, alpha):
-    """Round term I(V_d; Y, V'_{d-1} | V_{d-1}) between cumulative depths.
-
-    The neighbour is cancelled up to depth b_low; the new own layer spans
-    (b_low, b_high].  Its two edge cases are the other terms of that form:
-    b_low = 0 gives I(depth-b_high auxiliary; Y), the first layer's I(U; Y)
-    and scheme 1's fast cap I(U2; Y) (zero depth of side information cancels
-    nothing); b_high = b_total gives the corrected final term
-    I(X; Y, V'_{top-1} | top chain level), where the neighbour's own top
-    layer stays as residual interference (decode-consistent side
-    information).
-    """
-    a2 = alpha * alpha
-    num = 1 + (b_total - b_low) * p * (1 + a2)
-    den = 1 + (b_total - b_high) * p + a2 * (b_total - b_low) * p
-    return 0.5 * np.log2(num / den)
-
-
-def cf_final_term(b_last, b_total, p):
-    """I(X; Y, X' | top chain level): interference fully cancelled."""
-    return 0.5 * np.log2(1 + (b_total - b_last) * p)

@@ -6,10 +6,10 @@ relaxes the fast constraint.  Scheme 2 (d_max rounds, d_max+1 layers): the
 fast message rides the bottom layer and slow parts unlock round by round; the
 total of all conferenced parts must fit in pi.
 
-The region sweep works in cumulative-power space, where every round term,
-scheme 1's fast cap and the corrected final term are one closed form,
-cf_chain_term; the per-allocation evaluators go through the log-determinant
-path so the two routes cross-check each other.  The best scheme-2 allocation
+The region sweep works in cumulative-power space, where every rate term is
+one closed form, cf_term, at its layer-table triple; the per-allocation
+evaluators go through the log-determinant path so the two routes
+cross-check each other.  The best scheme-2 allocation
 of every fast-rate bin is known in closed form under both the printed and the
 corrected rate terms (see _best_per_bin), so scheme 2 is one vectorised
 evaluation per sweep; scheme 1 picks every bin's row of a 3-layer table in
@@ -20,20 +20,13 @@ be re-derived.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_mi import (
-    PowerAllocation,
-    cf_chain_term,
-    cf_cum_vs_y_cond,
-    cf_final_term,
-    cf_scheme1_slow,
-    scheme1_terms,
-    scheme2_terms,
-)
+from .gaussian_mi import SCHEME1_LAYERS, PowerAllocation, cf_term, scheme1_terms, scheme2_terms
 from .model import Columns, NetworkConfig, Region, validate_config
 
 __all__ = [
@@ -51,9 +44,11 @@ __all__ = [
 
 _EPS = 1e-12
 
-#: Largest grid_resolution a sweep accepts: scheme 2 evaluates every bin in
-#: one kernel call, about 2 KB per bin at d_max = 16.
+#: Largest grid_resolution of a sweep, and largest (grid_resolution + 1) *
+#: (d_max + 1) cells of one with scheme 2, whose one kernel call holds about
+#: 120 bytes a cell (fig2, d_max = 16, at the largest grid: 1.7e6 cells).
 _MAX_GRID = 100_000
+_MAX_CELLS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -72,6 +67,14 @@ class SchemeTwoEvaluation:
     feasible: bool
 
 
+def _scheme1_rates(term, pi: float, corrected: bool):
+    """(r_fast, r_sum) of scheme 1 from term(name), the value of the term of
+    that name: I(U2; Y) and I(U2; Y | U1) plus the conferencing budget cap
+    the fast rate, and the sum adds the printed or the corrected slow term."""
+    fast = np.minimum(term("i_u2_y"), term("i_u2_y_given_u1") + pi)
+    return fast, fast + term("i_x_slow_given_u2" if corrected else "i_x_slow_given_u1")
+
+
 def eval_scheme1(
     alloc: PowerAllocation, cfg: NetworkConfig, corrected: bool = False
 ) -> SchemeOneEvaluation:
@@ -81,10 +84,8 @@ def eval_scheme1(
     exactly as the analysis prints it; corrected=True conditions on the full
     decoded depth-2 level instead.
     """
-    t = scheme1_terms(alloc, cfg)
-    r_fast = min(t.i_u2_y, t.i_u2_y_given_u1 + cfg.pi)
-    slow = t.i_x_slow_given_u2 if corrected else t.i_x_slow_given_u1
-    return SchemeOneEvaluation(alloc=alloc, r_fast_cap=r_fast, r_sum_cap=r_fast + slow)
+    r_fast, r_sum = _scheme1_rates(functools.partial(getattr, scheme1_terms(alloc, cfg)), cfg.pi, corrected)
+    return SchemeOneEvaluation(alloc=alloc, r_fast_cap=float(r_fast), r_sum_cap=float(r_sum))
 
 
 def eval_scheme2(
@@ -113,10 +114,13 @@ def eval_scheme2(
 
 def _scheme1_caps(b1, b2, b3, cfg: NetworkConfig, corrected: bool):
     """(r_fast, r_sum) of scheme 1 at cumulative powers b1 <= b2 <= b3 (arrays)."""
-    p, a = cfg.p, cfg.alpha
-    fast = np.minimum(cf_chain_term(0, b2, b3, p, a), cf_cum_vs_y_cond(b1, b2, b3, p, a) + cfg.pi)
-    b_cond = b2 if corrected else b1
-    return fast, fast + cf_scheme1_slow(b_cond, b1, b3, p, a)
+    depth = (0, b1, b2, b3)
+
+    def term(name):
+        j, k, m = SCHEME1_LAYERS[name]
+        return cf_term(depth[j], depth[k], depth[m], b3, cfg.p, cfg.alpha)
+
+    return _scheme1_rates(term, cfg.pi, corrected)
 
 
 def _scheme1_table(cfg: NetworkConfig, n: int, corrected: bool):
@@ -138,20 +142,20 @@ def _scheme1_table(cfg: NetworkConfig, n: int, corrected: bool):
 def _scheme2_batch(B: np.ndarray, cfg: NetworkConfig, corrected: bool = False):
     """(r_fast, conf_load, total) for a batch of cumulative vectors B (m, L).
 
-    One broadcast cf_chain_term call gives every term: column d pairs
-    (B_{d-1}, B_d) for d = 0..L-1 with B_{-1} = 0, so column 0 is the fast
-    cap, columns 0..L-2 are the rounds and column L-1 (B_{L-1} = T) is the
-    corrected final term.  The load is a strict left-to-right cumulative sum
-    over the rounds (np.sum's pairwise order would change low bits), which
-    keeps it bit-identical to adding them one by one.
+    One broadcast cf_term call gives every term of scheme2_layers: column d
+    (d = 0..L-1) is the term (d, d+1, d), at cumulative powers B_{d-1}
+    (B_{-1} = 0) and B_d, so column 0 is the fast cap, columns 0..L-2 are
+    the rounds and column L-1 (B_{L-1} = T) is the corrected final term, or
+    the printed one (D, D+1, D+1) with the neighbour's depth at T.  The load is a strict left-to-right
+    cumulative sum over the rounds (np.sum's pairwise order would change low
+    bits), which keeps it bit-identical to adding them one by one.
     """
-    p = cfg.p
     b_low = np.zeros(B.shape)
     b_low[:, 1:] = B[:, :-1]
-    terms = cf_chain_term(b_low, B, B[:, -1:], p, cfg.alpha)
+    b_nb = b_low if corrected else np.concatenate([b_low[:, :-1], B[:, -1:]], axis=1)
+    terms = cf_term(b_low, B, b_nb, B[:, -1:], cfg.p, cfg.alpha)
     conf = terms[:, :-1].cumsum(axis=1)[:, -1]
-    final = terms[:, -1] if corrected else cf_final_term(B[:, -2], B[:, -1], p)
-    return terms[:, 0], conf, conf + final
+    return terms[:, 0], conf, conf + terms[:, -1]
 
 
 def _u0(xs: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
@@ -267,7 +271,7 @@ def _best_per_bin(
     Corrected terms: let L = d_max + 1, T = B_{L-1}, u_d = T - B_d
     (u_{-1} = T, u_{L-1} = 0), a_d = 1 + u_d P(1 + a^2), g = a^2/(1 + a^2)
     and s_d = ln(a_{d-1}/a_d) >= 0.  Every term
-    cf_chain_term(B_{d-1}, B_d, T) (d = 0..L-1; d = 0 is the fast cap,
+    cf_term(B_{d-1}, B_d, B_{d-1}, T) (d = 0..L-1; d = 0 is the fast cap,
     d = L-1 the final term) equals
     psi(s_d) = -1/2 log2(g + (1 - g) e^{-s_d}), increasing and concave in
     s_d, and the steps add up to ln(1 + T P(1 + a^2)).  So fast =
@@ -351,6 +355,9 @@ def inner_boundary(
         raise ValueError("grid_resolution must be at least 10")
     if grid_resolution > _MAX_GRID:
         raise ValueError(f"grid_resolution must be at most {_MAX_GRID}")
+    if scheme != "1" and (grid_resolution + 1) * (int(cfg.d_max) + 1) > _MAX_CELLS:
+        raise ValueError(f"grid {grid_resolution} and d_max {cfg.d_max} ask for more than {_MAX_CELLS} "
+                         "cells, (grid + 1)(d_max + 1): lower one of them")
     xs, ys, schemes, B = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
     hull = np.array(_upper_concave_envelope(xs.tolist(), ys.tolist()), dtype=int)
     # the first and the last raw point are always on the hull, so every x

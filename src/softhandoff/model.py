@@ -82,6 +82,8 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
         raise ValueError("alpha magnitude must be < 1")
     if not cfg.p > 0:
         raise ValueError("p must be positive")
+    if not math.isfinite((1 + (1 + cfg.alpha**2) * cfg.p) * (1 + cfg.alpha**2)):  # the weighted outer cap's argument
+        raise ValueError(f"p is too large: (1 + (1 + alpha^2) p)(1 + alpha^2) overflows at p={cfg.p!r}")
     if cfg.pi < 0:
         raise ValueError("pi must be nonnegative")
     _check_d_max(cfg.d_max)

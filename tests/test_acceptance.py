@@ -14,10 +14,7 @@ from softhandoff.cli import main as cli_main
 from softhandoff.conf_sim import build_silencing, conferencing_load, measure_mux_gains, run_rx_conferencing
 from softhandoff.gaussian_mi import (
     PowerAllocation,
-    cf_chain_term,
-    cf_cum_vs_y_cond,
-    cf_final_term,
-    cf_scheme1_slow,
+    cf_term,
     gaussian_mi,
     layered_covariance,
     mc_mutual_information,
@@ -90,21 +87,21 @@ def test_criterion_02_closed_form_crosscheck():
         t = scheme2_terms(alloc, cfg)
         B = alloc.cumulative()
         total = B[-1]
-        worst = max(worst, abs(t.i_u_y - float(cf_chain_term(0.0, B[0], total, p, a))))
+        worst = max(worst, abs(t.i_u_y - float(cf_term(0.0, B[0], 0.0, total, p, a))))
         for d, val in enumerate(t.chain, start=1):
-            worst = max(worst, abs(val - float(cf_chain_term(B[d - 1], B[d], total, p, a))))
-        worst = max(worst, abs(t.i_final - float(cf_final_term(B[-2], total, p))))
+            worst = max(worst, abs(val - float(cf_term(B[d - 1], B[d], B[d - 1], total, p, a))))
+        worst = max(worst, abs(t.i_final - float(cf_term(B[-2], total, total, total, p, a))))
         worst = max(
             worst,
-            abs(t.i_final_corrected - float(cf_chain_term(B[-2], total, total, p, a))),
+            abs(t.i_final_corrected - float(cf_term(B[-2], total, B[-2], total, p, a))),
         )
         if L == 3:
             s1 = scheme1_terms(alloc, cfg)
             b1, b2, b3 = B
-            worst = max(worst, abs(s1.i_u2_y - float(cf_chain_term(0.0, b2, b3, p, a))))
-            worst = max(worst, abs(s1.i_u2_y_given_u1 - float(cf_cum_vs_y_cond(b1, b2, b3, p, a))))
-            worst = max(worst, abs(s1.i_x_slow_given_u1 - float(cf_scheme1_slow(b1, b1, b3, p, a))))
-            worst = max(worst, abs(s1.i_x_slow_given_u2 - float(cf_scheme1_slow(b2, b1, b3, p, a))))
+            worst = max(worst, abs(s1.i_u2_y - float(cf_term(0.0, b2, 0.0, b3, p, a))))
+            worst = max(worst, abs(s1.i_u2_y_given_u1 - float(cf_term(b1, b2, 0.0, b3, p, a))))
+            worst = max(worst, abs(s1.i_x_slow_given_u1 - float(cf_term(b1, b3, b1, b3, p, a))))
+            worst = max(worst, abs(s1.i_x_slow_given_u2 - float(cf_term(b2, b3, b1, b3, p, a))))
     ok = worst <= 1e-9
     _report(2, "closed forms vs log-det path", ok, f"1000 allocations, worst |diff| = {worst:.2e} (<= 1e-9)")
 

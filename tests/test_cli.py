@@ -114,6 +114,31 @@ class TestRegionCommand:
         assert "grid_resolution must be at most 100000" in err
         assert not out.exists()
 
+    def test_cell_budget_exits_2_before_sweeping(self, tmp_path, capsys, monkeypatch):
+        # (grid + 1)(d_max + 1) = 1e10 cells: this must never reach an allocation
+        def refuse(*args):
+            raise AssertionError("swept before checking the cell budget")
+
+        for name in ("_best_per_bin", "_scheme2_vectors", "_scheme2_batch"):
+            monkeypatch.setattr(inner_bound, name, refuse)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["region", "inner", "--dmax", "100000", "--grid", "100000", "--out", str(out)], capsys)
+        assert code == 2
+        assert "grid 100000 and d_max 100000 ask for more than" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["outer", "--alpha", "0.9", "--p", "9e307"],  # was a sum-only triangle: weighted_cap overflowed
+        ["outer", "--alpha", "0.9", "--p", "1e308"],  # was inf cells
+        ["inner", "--alpha", "0.9", "--p", "1.7e308", "--pi", "0.3", "--dmax", "2"],  # was a header-only CSV
+    ])
+    def test_overflowing_p_exits_2_naming_p(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["region", *argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert "p is too large" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_outputs_and_convergence(self, tmp_path, capsys):
@@ -187,6 +212,15 @@ class TestCompareCommand:
         code, _, err = run_cli(["compare", "fig2_inner", str(path)], capsys)
         assert code == 2
         assert f"{path}, line 3: {message}" in err
+
+    @pytest.mark.parametrize("row", ["0.2", ""], ids=["one cell", "blank"])
+    def test_short_row_names_file_and_line(self, tmp_path, capsys, row):
+        path = tmp_path / "short.csv"
+        path.write_text(f"x,y\n0,1\n{row}\n0.5,0.1\n")
+        code, text, err = run_cli(["compare", "fig4_mu03", str(path)], capsys)
+        assert code == 2
+        assert f"{path}, line 3: a row needs two cells, got {row!r}" in err
+        assert not text
 
     def test_empty_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -54,6 +54,17 @@ class TestBuildSilencing:
             with pytest.raises(ValueError, match="d_max must be at least 1"):
                 build_silencing(10, d_max)
 
+    @pytest.mark.parametrize("k,d_max,field", [
+        (22, True, "d_max"), (22, 2.0, "d_max"), (22, None, "d_max"),
+        (22.0, 2, "k"), (True, 1, "k"), ("22", 2, "k"),
+    ])
+    def test_rejects_non_integer_k_and_d_max_by_name(self, k, d_max, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            build_silencing(k, d_max)
+
+    def test_numpy_integers_accepted(self):
+        assert build_silencing(np.int64(22), np.int64(2)) == build_silencing(22, 2)
+
     def test_trailing_partial_subnet(self):
         p = build_silencing(10, 1)
         assert sorted(p.silenced) == [4, 8, 10]

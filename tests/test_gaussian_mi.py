@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from softhandoff.gaussian_mi import (
+    SCHEME1_LAYERS,
     PowerAllocation,
-    cf_chain_term,
-    cf_cum_vs_y_cond,
-    cf_final_term,
-    cf_scheme1_slow,
+    cf_term,
     gaussian_mi,
     layered_covariance,
     mc_mutual_information,
+    scheme1_term_groups,
     scheme1_terms,
+    scheme2_layers,
     scheme2_terms,
     scheme2_term_groups,
 )
@@ -369,7 +369,7 @@ def _final_term_corrected(b_last, b_total, p, alpha):
 
 
 class TestChainTermEdgeCases:
-    """cf_chain_term's two edge cases are the dedicated formulas bit for bit."""
+    """cf_term(j, k, j)'s two edge cases are the dedicated formulas bit for bit."""
 
     @staticmethod
     def _args(seed, shape):
@@ -385,19 +385,19 @@ class TestChainTermEdgeCases:
     @pytest.mark.parametrize("shape", [(20_000,), (200, 100)])
     def test_zero_lower_depth_is_i_u_y(self, shape):
         b, t, p, a = self._args(11, shape)
-        assert np.array_equal(cf_chain_term(0, b, t, p, a), _cum_vs_y(b, t, p, a))
-        assert np.array_equal(cf_chain_term(np.zeros(shape), b, t, p, a), _cum_vs_y(b, t, p, a))
+        assert np.array_equal(cf_term(0, b, 0, t, p, a), _cum_vs_y(b, t, p, a))
+        assert np.array_equal(cf_term(np.zeros(shape), b, np.zeros(shape), t, p, a), _cum_vs_y(b, t, p, a))
 
     @pytest.mark.parametrize("shape", [(20_000,), (200, 100)])
     def test_full_upper_depth_is_corrected_final_term(self, shape):
         b, t, p, a = self._args(12, shape)
-        assert np.array_equal(cf_chain_term(b, t, t, p, a), _final_term_corrected(b, t, p, a))
+        assert np.array_equal(cf_term(b, t, b, t, p, a), _final_term_corrected(b, t, p, a))
 
     def test_scalars(self):
         b, t, p, a = self._args(13, (500,))
         for bi, ti, pi, ai in zip(b.tolist(), t.tolist(), p.tolist(), a.tolist()):
-            assert cf_chain_term(0.0, bi, ti, pi, ai) == _cum_vs_y(bi, ti, pi, ai)
-            assert cf_chain_term(bi, ti, ti, pi, ai) == _final_term_corrected(bi, ti, pi, ai)
+            assert cf_term(0.0, bi, 0.0, ti, pi, ai) == _cum_vs_y(bi, ti, pi, ai)
+            assert cf_term(bi, ti, bi, ti, pi, ai) == _final_term_corrected(bi, ti, pi, ai)
 
 
 class TestClosedForms:
@@ -406,7 +406,7 @@ class TestClosedForms:
         p, a = 5.0, 0.2
         for b2 in (0.1, 0.35, 0.8, 1.0):
             direct = 0.5 * math.log2((1 + p + a * a * p) / (1 + (1 - b2) * p + a * a * p))
-            assert cf_chain_term(0.0, b2, 1.0, p, a) == pytest.approx(direct, abs=1e-15)
+            assert cf_term(0.0, b2, 0.0, 1.0, p, a) == pytest.approx(direct, abs=1e-15)
 
     def test_closed_forms_match_determinant_path(self):
         rng = np.random.default_rng(77)
@@ -420,13 +420,13 @@ class TestClosedForms:
             t = scheme2_terms(alloc, cfg)
             B = alloc.cumulative()
             total = B[-1]
-            assert t.i_u_y == pytest.approx(float(cf_chain_term(0.0, B[0], total, p, a)), abs=1e-9)
+            assert t.i_u_y == pytest.approx(float(cf_term(0.0, B[0], 0.0, total, p, a)), abs=1e-9)
             for d, val in enumerate(t.chain, start=1):
-                cf = float(cf_chain_term(B[d - 1], B[d], total, p, a))
+                cf = float(cf_term(B[d - 1], B[d], B[d - 1], total, p, a))
                 assert val == pytest.approx(cf, abs=1e-9)
-            assert t.i_final == pytest.approx(float(cf_final_term(B[-2], total, p)), abs=1e-9)
+            assert t.i_final == pytest.approx(float(cf_term(B[-2], total, total, total, p, a)), abs=1e-9)
             assert t.i_final_corrected == pytest.approx(
-                float(cf_chain_term(B[-2], total, total, p, a)), abs=1e-9
+                float(cf_term(B[-2], total, B[-2], total, p, a)), abs=1e-9
             )
 
     def test_scheme1_closed_forms_match(self):
@@ -438,7 +438,52 @@ class TestClosedForms:
             a = float(rng.uniform(0.05, 0.95))
             t = scheme1_terms(alloc, NetworkConfig(alpha=a, p=p))
             b1, b2, b3 = alloc.cumulative()
-            assert t.i_u2_y == pytest.approx(float(cf_chain_term(0.0, b2, b3, p, a)), abs=1e-9)
-            assert t.i_u2_y_given_u1 == pytest.approx(float(cf_cum_vs_y_cond(b1, b2, b3, p, a)), abs=1e-9)
-            assert t.i_x_slow_given_u1 == pytest.approx(float(cf_scheme1_slow(b1, b1, b3, p, a)), abs=1e-9)
-            assert t.i_x_slow_given_u2 == pytest.approx(float(cf_scheme1_slow(b2, b1, b3, p, a)), abs=1e-9)
+            assert t.i_u2_y == pytest.approx(float(cf_term(0.0, b2, 0.0, b3, p, a)), abs=1e-9)
+            assert t.i_u2_y_given_u1 == pytest.approx(float(cf_term(b1, b2, 0.0, b3, p, a)), abs=1e-9)
+            assert t.i_x_slow_given_u1 == pytest.approx(float(cf_term(b1, b3, b1, b3, p, a)), abs=1e-9)
+            assert t.i_x_slow_given_u2 == pytest.approx(float(cf_term(b2, b3, b1, b3, p, a)), abs=1e-9)
+
+
+def _scheme1_groups_by_hand(spec):
+    """Reference: the hand-written index groups of the 3-layer scheme terms."""
+    y = spec.idx_y
+    w1p = spec.idx_nb(1)
+    return {
+        "i_u2_y": ([0, 1], [y], []),
+        "i_u2_y_given_u1": ([1], [y], [0]),
+        "i_x_slow_given_u1": ([1, 2], [y, w1p], [0]),
+        "i_x_slow_given_u2": ([2], [y, w1p], [0, 1]),
+    }
+
+
+def _scheme2_groups_by_hand(spec, d_max):
+    """Reference: the hand-written index groups of the (d_max+1)-layer scheme terms."""
+    y = spec.idx_y
+    L = spec.num_layers
+    groups = {"i_u_y": ([0], [y], [])}
+    for d in range(1, d_max):
+        nb_known = [spec.idx_nb(j) for j in range(1, d + 1)]
+        groups[f"chain_{d}"] = ([d], [y] + nb_known, list(range(d)))
+    nb_all = [spec.idx_nb(j) for j in range(1, L + 1)]
+    groups["i_final"] = ([L - 1], [y] + nb_all, list(range(L - 1)))
+    groups["i_final_corrected"] = ([L - 1], [y] + nb_all[:-1], list(range(L - 1)))
+    return groups
+
+
+class TestLayerTable:
+    """The (j, k, m) triples reproduce the hand-written groups exactly, keys
+    and their order included (perfbench pairs the keys with seeds in order)."""
+
+    def test_scheme1_groups(self):
+        spec = layered_covariance(PowerAllocation((0.2, 0.3, 0.5)), CFG)
+        want = _scheme1_groups_by_hand(spec)
+        assert list(scheme1_term_groups(spec).items()) == list(want.items())
+        assert list(SCHEME1_LAYERS) == list(want)
+
+    @pytest.mark.parametrize("d_max", range(1, 17))
+    def test_scheme2_groups(self, d_max):
+        alloc = PowerAllocation((1.0 / (d_max + 1),) * (d_max + 1))
+        spec = layered_covariance(alloc, NetworkConfig(alpha=0.2, p=5.0, d_max=d_max))
+        want = _scheme2_groups_by_hand(spec, d_max)
+        assert list(scheme2_term_groups(spec, d_max).items()) == list(want.items())
+        assert list(scheme2_layers(d_max)) == list(want)

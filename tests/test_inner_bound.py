@@ -9,11 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softhandoff.gaussian_mi import (
-    PowerAllocation,
-    cf_chain_term,
-    cf_final_term,
-)
+from softhandoff.gaussian_mi import PowerAllocation, cf_term
 import softhandoff.inner_bound as ib
 from softhandoff.inner_bound import (
     BoundaryPoint,
@@ -156,6 +152,26 @@ class TestInnerBoundary:
         with pytest.raises(ValueError):
             inner_boundary(CFG_FIG2, grid_resolution=5)
 
+    @pytest.mark.parametrize("scheme,d_max,grid", [("2", 100_000, 100_000), ("both", 117_647, 16)])
+    def test_cell_budget_checked_before_sweeping(self, monkeypatch, scheme, d_max, grid):
+        # (grid + 1)(d_max + 1) just over 2e6 cells; never let it reach an allocation
+        monkeypatch.setattr(ib, "_best_per_bin", lambda *args: pytest.fail("swept past the cell budget"))
+        with pytest.raises(ValueError, match=f"grid {grid} and d_max {d_max} ask for more than"):
+            inner_boundary(replace(CFG_FIG2, d_max=d_max), scheme, grid)
+
+    @pytest.mark.parametrize("scheme,d_max", [("both", 16), ("1", 100_000)])
+    def test_cell_budget_admits_fig2_at_the_largest_grid(self, monkeypatch, scheme, d_max):
+        # scheme 1 alone holds no d_max columns, so its sweep has no cell budget
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(ib, "_best_per_bin", reached)
+        with pytest.raises(Reached):
+            inner_boundary(replace(CFG_FIG2, d_max=d_max), scheme, ib._MAX_GRID)
+
 
 class TestInnerRegion:
     def test_polyline_invariants(self):
@@ -252,15 +268,15 @@ class TestBestSlowRateScheme2:
 def _scheme2_batch_by_round(B, cfg, corrected):
     """Round-by-round reference: one kernel call per round, loads added in turn."""
     p, a = cfg.p, cfg.alpha
-    total_pow = B[:, -1]
-    conf = cf_chain_term(np.zeros(len(B)), B[:, 0], total_pow, p, a)
+    total_pow, zero = B[:, -1], np.zeros(len(B))
+    conf = cf_term(zero, B[:, 0], zero, total_pow, p, a)
     for d in range(1, B.shape[1] - 1):
-        conf = conf + cf_chain_term(B[:, d - 1], B[:, d], total_pow, p, a)
-    r_fast = cf_chain_term(np.zeros(len(B)), B[:, 0], total_pow, p, a)
+        conf = conf + cf_term(B[:, d - 1], B[:, d], B[:, d - 1], total_pow, p, a)
+    r_fast = cf_term(zero, B[:, 0], zero, total_pow, p, a)
     if corrected:  # the decode-consistent final term (see test_gaussian_mi's edge-case pins)
-        final = cf_chain_term(B[:, -2], total_pow, total_pow, p, a)
-    else:
-        final = cf_final_term(B[:, -2], total_pow, p)
+        final = cf_term(B[:, -2], total_pow, B[:, -2], total_pow, p, a)
+    else:  # the neighbour's full input known
+        final = cf_term(B[:, -2], total_pow, total_pow, total_pow, p, a)
     return r_fast, conf, conf + final
 
 

@@ -132,11 +132,20 @@ class TestValidateConfig:
             # mistyped fields raise a ValueError naming them, not a TypeError from a comparison
             *(("d_max", NetworkConfig(alpha=0.2, p=5.0, d_max=v)) for v in (2.5, True, None, "2")),
             *(("k", NetworkConfig(alpha=0.2, p=5.0, k=v)) for v in (None, True, "3", math.nan, -math.inf)),
+            # finite, but (1 + (1 + alpha^2) p)(1 + alpha^2) overflows
+            ("p", NetworkConfig(alpha=0.9, p=9e307)),
+            ("p", NetworkConfig(alpha=-0.2, p=1.7e308)),
         ],
     )
     def test_rejects_and_names_field(self, field, cfg):
         with pytest.raises(ValueError, match=field):
             validate_config(cfg)
+
+    def test_largest_finite_rate_argument_accepted(self):
+        # 1.04 * 1.04e308 is still finite: the outer bound's caps stay finite too
+        cfg = validate_config(NetworkConfig(alpha=0.2, p=1e308))
+        vals = outer_constraints(cfg)
+        assert math.isfinite(vals.sum_cap) and math.isfinite(vals.weighted_cap)
 
     def test_numpy_integers_accepted(self):
         validate_config(NetworkConfig(alpha=0.2, p=5.0, k=np.int64(5), d_max=np.int64(3)))
