@@ -99,7 +99,7 @@ def _parse_k(text: str) -> float:
 def _parse_ladder(values: list) -> list[float]:
     try:
         return [float(v) for v in values]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"p_ladder must be a list of numbers, got {values!r}") from None
 
 

@@ -202,7 +202,7 @@ def _tiled(rows: list[tuple], width: int, shifted: list[int], firsts: np.ndarray
 
 
 def _running_sum(x: np.ndarray) -> float:
-    """x[0] + x[1] + ... added left to right, like Python 3.11's sum; np.sum adds pairwise."""
+    """x[0] + x[1] + ... added left to right; np.sum adds pairwise, 3.12's sum compensates."""
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 

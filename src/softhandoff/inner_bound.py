@@ -13,10 +13,11 @@ cross-check each other.  The best scheme-2 allocation
 of every fast-rate bin is known in closed form under both the printed and the
 corrected rate terms (see _best_per_bin), so scheme 2 is one vectorised
 evaluation per sweep; scheme 1 picks every bin's row of a 3-layer table in
-one sorted pass.  The time-sharing hull places every bin at once, and the
-boundary comes back as array columns (model.Columns) whose records carry
-witness allocations, built on first read, so that every reported point can
-be re-derived.
+one sorted pass.  One time-sharing hull of the bins is both the region
+(inner_region, its vertices, closed under rate transfer as they stand) and
+where every bin is placed (inner_boundary, array columns of model.Columns
+whose records carry witness allocations, built on first read, so that every
+reported point can be re-derived).
 """
 from __future__ import annotations
 
@@ -29,20 +30,8 @@ import numpy as np
 from .gaussian_mi import SCHEME1_LAYERS, PowerAllocation, cf_term, scheme1_terms, scheme2_terms
 from .model import Columns, NetworkConfig, Region, validate_config
 
-__all__ = [
-    "SchemeOneEvaluation",
-    "SchemeTwoEvaluation",
-    "BoundaryWitness",
-    "BoundaryPoint",
-    "eval_scheme1",
-    "eval_scheme2",
-    "inner_boundary",
-    "inner_region",
-    "rate_transfer_closure",
-    "best_slow_rate_scheme2",
-]
-
-_EPS = 1e-12
+__all__ = ["SchemeOneEvaluation", "SchemeTwoEvaluation", "BoundaryWitness", "BoundaryPoint", "eval_scheme1",
+           "eval_scheme2", "inner_boundary", "inner_region", "best_slow_rate_scheme2"]
 
 #: Largest grid_resolution of a sweep, and largest (grid_resolution + 1) *
 #: (d_max + 1) cells of one with scheme 2, whose one kernel call holds about
@@ -104,7 +93,7 @@ def eval_scheme2(
         r_fast_cap=t.i_u_y,
         r_sum_cap=t.conf_load + final,
         conf_load=t.conf_load,
-        feasible=t.conf_load <= cfg.pi + _EPS,
+        feasible=t.conf_load <= cfg.pi + 1e-12,
     )
 
 
@@ -197,14 +186,17 @@ def _alloc_from_cumulative(B: np.ndarray) -> PowerAllocation:
     return PowerAllocation(tuple(float(v) for v in fr))
 
 
-def _upper_concave_envelope(xs: list[float], ys: list[float]) -> list[int]:
-    """Indices of the upper concave hull of (xs, ys), xs ascending."""
-    hull: list[int] = []
+def _upper_concave_envelope(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """Indices of the upper concave hull of (x, y), x ascending.  A vertex
+    pops when the next point lies on or above its chord, to a cross product of
+    1e-15 times the x extent times max |y|, so the rule is free of the scale."""
+    tol = float(-1e-15 * (x[-1] - x[0]) * np.max(np.abs(y))) if len(x) else 0.0
+    xs, ys, hull = x.tolist(), y.tolist(), []
     for i in range(len(xs)):
         while len(hull) >= 2:
             i0, i1 = hull[-2], hull[-1]
             cross = (xs[i1] - xs[i0]) * (ys[i] - ys[i0]) - (ys[i1] - ys[i0]) * (xs[i] - xs[i0])
-            if cross >= -1e-15:
+            if cross >= tol:
                 hull.pop()
             else:
                 break
@@ -323,30 +315,17 @@ def _best_per_bin(
         win = (r_fast >= xs[rows] - 1e-9) & (conf <= cfg.pi + 1e-9) & (tot > best[rows])
         i = rows[win]
         best[i], scheme[i], B_win[i, :L] = tot[win], 2, B[win]
-    keep = np.isfinite(best)
-    return xs[keep], (best - xs)[keep], scheme[keep], B_win[keep]
+    # a later bin's winner also serves this bin: take the nearest of largest
+    # sum cap, as the closed forms can round a later cap above an earlier one
+    keep = np.flatnonzero(np.isfinite(best))[::-1]
+    top = np.where(best[keep] == np.maximum.accumulate(best[keep]), np.arange(len(keep)), 0)
+    src, keep = keep[np.maximum.accumulate(top)][::-1], keep[::-1]
+    return xs[keep], best[src] - xs[keep], scheme[src], B_win[src]
 
 
-def inner_boundary(
-    cfg: NetworkConfig,
-    scheme: int | str = "both",
-    grid_resolution: int = 64,
-    corrected: bool = False,
-) -> Columns:
-    """Sweep the achievable boundary on a fast-rate grid.
-
-    For each target fast rate the best sum cap over all feasible allocations
-    is found (in closed form, apart from the table of corrected scheme 1, see
-    _best_per_bin), then the
-    pointwise-best of the requested schemes is closed under time sharing
-    (upper concave envelope).  The rate-transfer closure is implicit:
-    transferring fast rate to slow moves along the same sum line.
-
-    One searchsorted puts every bin on a hull vertex or between two, where it
-    takes the t-form value (1 - t) y0 + t y1.  Returns Columns of
-    BoundaryPoint with columns x, y and source ("scheme1", "scheme2" or
-    "timeshare"); a hull vertex's allocation is built when first read.
-    """
+def _sweep(cfg: NetworkConfig, scheme: int | str, grid_resolution: int, corrected: bool):
+    """The checked inputs' _best_per_bin arrays (x, y, scheme, B) and the
+    indices of their upper concave hull: inner_boundary's and inner_region's."""
     validate_config(cfg)
     scheme = str(scheme)
     if scheme not in ("1", "2", "both"):
@@ -359,13 +338,34 @@ def inner_boundary(
         raise ValueError(f"grid {grid_resolution} and d_max {cfg.d_max} ask for more than {_MAX_CELLS} "
                          "cells, (grid + 1)(d_max + 1): lower one of them")
     xs, ys, schemes, B = _best_per_bin(cfg, scheme != "2", scheme != "1", grid_resolution, corrected)
-    hull = np.array(_upper_concave_envelope(xs.tolist(), ys.tolist()), dtype=int)
+    return xs, ys, schemes, B, np.array(_upper_concave_envelope(xs, ys), dtype=int)
+
+
+def inner_boundary(
+    cfg: NetworkConfig,
+    scheme: int | str = "both",
+    grid_resolution: int = 64,
+    corrected: bool = False,
+) -> Columns:
+    """Sweep the achievable boundary on a fast-rate grid.
+
+    For each target fast rate the best sum cap over all feasible allocations
+    is found (in closed form, apart from the table of corrected scheme 1, see
+    _best_per_bin), then the pointwise-best of the requested schemes is
+    closed under time sharing: the hull of inner_region.
+
+    One searchsorted puts every bin on a hull vertex or between two, where it
+    takes the t-form value (1 - t) y0 + t y1.  Returns Columns of
+    BoundaryPoint with columns x, y and source ("scheme1", "scheme2" or
+    "timeshare"); a hull vertex's allocation is built when first read.
+    """
+    xs, ys, schemes, B, hull = _sweep(cfg, scheme, grid_resolution, corrected)
     # the first and the last raw point are always on the hull, so every x
     # lies in a bracket [hx[j], hx[j+1]] or on the last hull point
     hx = xs[hull]
     j = np.searchsorted(hx, xs, side="right") - 1
     i0, i1 = hull[j], hull[np.minimum(j + 1, len(hull) - 1)]
-    on = np.abs(hx[j] - xs) <= 1e-15
+    on = hx[j] == xs  # hull vertices are bins, so a bin is one exactly
     t = np.where(on, 0.0, (xs - xs[i0]) / np.where(on, 1.0, xs[i1] - xs[i0]))
     y = np.where(on, ys[i0], (1 - t) * ys[i0] + t * ys[i1])
     right = ~on & (t >= 1 - 1e-15)
@@ -394,68 +394,25 @@ def inner_region(
     grid_resolution: int = 64,
     corrected: bool = False,
 ) -> Region:
-    """Boundary polyline of the achievable region (see inner_boundary)."""
-    pts = inner_boundary(cfg, scheme, grid_resolution, corrected)
-    if not pts:
-        return Region(vertices=((0.0, 0.0),), kind="polyline", degenerate=True)
-    region = Region(vertices=tuple(zip(pts.cols["x"].tolist(), pts.cols["y"].tolist())), kind="polyline")
-    return rate_transfer_closure(region)
+    """Boundary polyline of the achievable region: the vertices of the
+    time-sharing hull that inner_boundary places its bins on.
 
-
-def rate_transfer_closure(region: Region) -> Region:
-    """Close a polyline region under moving fast rate to slow rate.
-
-    If (a, b) is achievable so is (a - d, b + d) for 0 <= d <= a, so the
-    closed boundary at x is max(f(x), max over points right of x of
-    (x_j + y_j) - x).  Idempotent; only ever enlarges the region.
+    The hull is closed under rate transfer ((a, b) achievable gives
+    (a - d, b + d), 0 <= d <= a) as it stands:
+    - every bin's best sum cap x + y is nonincreasing in x, as a larger fast
+      rate only shrinks the feasible set: of scheme 1's sorted pass, of
+      scheme 2's closed form, and of their max; _best_per_bin's suffix
+      maximum keeps it so through rounding;
+    - hull vertices are a subsequence of the bins, so x + y never rises along
+      the hull: on each segment f(x) + x falls from x_i + y_i to
+      x_{i+1} + y_{i+1}, at least x_j + y_j for every later vertex j, so the
+      transfer line (x_j + y_j) - x never lies above f, and the first vertex
+      sits at x = 0.  Closing the hull adds nothing.
     """
-    if region.kind != "polyline":
-        raise ValueError("rate_transfer_closure expects a polyline region")
-    if not region.vertices:
-        return region
-    xs, ys = np.array(region.vertices, dtype=float).T.tolist()
-    n = len(xs)
-    suffix = np.maximum.accumulate(np.add(xs, ys)[::-1])[::-1].tolist()  # max of x_j + y_j over j >= i
-
-    out: list[tuple[float, float]] = []
-
-    def push(x: float, y: float) -> None:
-        if out and abs(out[-1][0] - x) <= 1e-15:
-            if y > out[-1][1]:
-                out[-1] = (x, y)
-            return
-        out.append((x, y))
-
-    if xs[0] > 0:
-        push(0.0, suffix[0])
-    for i in range(n):
-        push(xs[i], max(ys[i], suffix[i] - xs[i]))
-        if i + 1 < n:
-            # within (x_i, x_{i+1}] the transfer line has value suffix[i+1] - x;
-            # insert the crossover with the original segment if it is interior
-            x0, y0, x1, y1 = xs[i], ys[i], xs[i + 1], ys[i + 1]
-            if x1 - x0 <= 1e-15:
-                continue
-            s = (y1 - y0) / (x1 - x0)
-            # f(x) = y0 + s (x - x0); line(x) = suffix[i+1] - x
-            if abs(s + 1) > 1e-15:
-                xc = (suffix[i + 1] - y0 + s * x0) / (s + 1)
-                if x0 + 1e-15 < xc < x1 - 1e-15:
-                    fc = y0 + s * (xc - x0)
-                    push(xc, max(fc, suffix[i + 1] - xc))
-
-    # merge collinear runs
-    merged: list[tuple[float, float]] = []
-    for pt in out:
-        while len(merged) >= 2:
-            (ax, ay), (bx, by) = merged[-2], merged[-1]
-            cross = (bx - ax) * (pt[1] - ay) - (by - ay) * (pt[0] - ax)
-            if abs(cross) <= 1e-13:
-                merged.pop()
-            else:
-                break
-        merged.append(pt)
-    return Region(vertices=tuple(merged), kind="polyline", degenerate=region.degenerate)
+    xs, ys, _, _, hull = _sweep(cfg, scheme, grid_resolution, corrected)
+    if not len(hull):
+        return Region(vertices=((0.0, 0.0),), kind="polyline", degenerate=True)
+    return Region(vertices=tuple(zip(xs[hull].tolist(), ys[hull].tolist())), kind="polyline")
 
 
 def best_slow_rate_scheme2(cfg: NetworkConfig, corrected: bool = False) -> tuple[float, PowerAllocation]:

@@ -60,6 +60,17 @@ class NetworkConfig:
     d_max: int = 1
 
 
+def _check_real(name: str, value) -> None:
+    """Raise ValueError naming name unless value is a finite real number; a
+    bool is not one, nor is an int too large for a float."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite and real, got {value!r}")
+
+
 def _check_d_max(d_max) -> None:
     if isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral):
         raise ValueError(f"d_max must be an integer, got {d_max!r}")
@@ -73,9 +84,7 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
     Raises ValueError naming the violated field otherwise.
     """
     for name in ("alpha", "p", "pi"):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise ValueError(f"{name} must be finite and real, got {value!r}")
+        _check_real(name, getattr(cfg, name))
     if cfg.alpha == 0:
         raise ValueError("alpha must be nonzero")
     if abs(cfg.alpha) >= 1:
@@ -87,10 +96,9 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
     if cfg.pi < 0:
         raise ValueError("pi must be nonnegative")
     _check_d_max(cfg.d_max)
-    if isinstance(cfg.k, bool) or not isinstance(cfg.k, numbers.Real):
-        raise ValueError(f"k must be a real number, got {cfg.k!r}")
     if cfg.k != ASYMPTOTIC_K:
-        if not (math.isfinite(cfg.k) and cfg.k == int(cfg.k)):
+        _check_real("k", cfg.k)
+        if cfg.k != int(cfg.k):
             raise ValueError("k must be an integer or ASYMPTOTIC_K")
         if cfg.k < 2:
             raise ValueError("k must be at least 2")

@@ -13,12 +13,10 @@ like (1/22, 20/22) hold to machine precision.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import MuxPair, Region, _check_d_max, _two_cut_polygon
+from .model import MuxPair, Region, _check_d_max, _check_real, _two_cut_polygon
 
 __all__ = ["MuxRegionSpec", "mux_region", "corner_points", "timeshare_point", "mu_max"]
 
@@ -36,8 +34,7 @@ class MuxRegionSpec:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real) or not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite and real, got {self.mu!r}")
+        _check_real("mu", self.mu)
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
         _check_d_max(self.d_max)

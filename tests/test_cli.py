@@ -541,6 +541,23 @@ class TestMalformedManifest:
         assert code == 2
         assert "k must be an integer or inf" in err
 
+    @pytest.mark.parametrize("argv,key", [
+        *((["region", "outer", "--k", "3"], key) for key in ("p", "alpha", "pi", "k")),
+        (["region", "mux", "--mu", "0.3", "--dmax", "2"], "mu"),
+        *((["simulate", "tx", "--k", "12", "--dmax", "2"], key) for key in ("k", "alpha", "p_ladder")),
+        *((["region", "inner", "--scheme", "2", "--grid", "16", "--dmax", "2"], key) for key in ("p", "alpha", "pi")),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v[:2]))
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, argv, key):
+        # a 401-digit JSON integer once made math.isfinite raise OverflowError: exit 3
+        doc = _manifest(tmp_path, capsys, argv)
+        if key == "p_ladder":
+            doc["params"][key][1] = 10 ** 400
+        else:
+            doc["params"][key] = 10 ** 400
+        code, _, err = _rerun_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert err.startswith(f"error: {key} must be")
+
     @pytest.mark.parametrize("edit", ["no params", "a list"])
     def test_document_shape(self, tmp_path, capsys, edit):
         doc = _manifest(tmp_path, capsys, ["region", "mux"])

@@ -341,6 +341,15 @@ def _ref_tx_subnet(sub, d_max, p, alpha):
     return users, msgs
 
 
+def _added_in_turn(values):
+    """The values added left to right, one at a time: Python 3.11's sum does
+    this too, but 3.12's compensates for rounding."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _ref_run(cfg, pattern, mode):
     users, msgs = [], []
     for sub in pattern.subnets:
@@ -352,9 +361,8 @@ def _ref_run(cfg, pattern, mode):
         users.extend(u)
         msgs.extend(m)
     users.sort(key=lambda ur: ur.user)
-    # Python 3.11's sum of floats adds left to right
-    avg_fast = sum(u.rate for u in users if u.kind == "fast") / pattern.k
-    avg_slow = sum(u.rate for u in users if u.kind == "slow") / pattern.k
+    avg_fast = _added_in_turn(u.rate for u in users if u.kind == "fast") / pattern.k
+    avg_slow = _added_in_turn(u.rate for u in users if u.kind == "slow") / pattern.k
     return tuple(users), avg_fast, avg_slow, tuple(msgs)
 
 

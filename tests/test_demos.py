@@ -1,8 +1,9 @@
 """Each demo's stdout is pinned byte for byte.
 
 The demos are deterministic and use the public API (demo 04 also imports
-cf_chain_term and cf_final_term from softhandoff.gaussian_mi directly), so a
-refactor that changes a printed number or drops a name they use fails here.
+cf_term, scheme2_layers and scheme2_term_groups from softhandoff.gaussian_mi
+directly), so a refactor that changes a printed number or drops a name they
+use fails here.
 Rewrite a pinned file only for an intended change:
 `PYTHONPATH=src python demos/01_capacity_bounds.py > tests/golden/demo_01.txt`.
 """

@@ -26,9 +26,8 @@ from softhandoff.inner_bound import (
     eval_scheme2,
     inner_boundary,
     inner_region,
-    rate_transfer_closure,
 )
-from softhandoff.model import NetworkConfig, Region
+from softhandoff.model import NetworkConfig, Region, _polyline_ymax
 from softhandoff.outer_bound import outer_constraints
 
 HALF_LOG2_6 = 1.292481250360578
@@ -188,45 +187,6 @@ class TestInnerRegion:
         slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(v, v[1:])]
         for s0, s1 in zip(slopes, slopes[1:]):
             assert s1 <= s0 + 1e-7
-
-
-class TestRateTransferClosure:
-    def test_single_point_becomes_full_transfer_line(self):
-        r = Region(vertices=((1.0, 0.0),), kind="polyline")
-        c = rate_transfer_closure(r)
-        assert c.vertices == ((0.0, 1.0), (1.0, 0.0))
-        from softhandoff.model import region_contains
-
-        assert region_contains(c, (0.5, 0.5), tol=1e-12)
-
-    def test_idempotent(self):
-        r = Region(vertices=((0.0, 1.2), (0.4, 1.1), (0.9, 0.1)), kind="polyline")
-        once = rate_transfer_closure(r)
-        twice = rate_transfer_closure(once)
-        assert once.vertices == twice.vertices
-
-    def test_only_enlarges(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            xs = np.sort(rng.uniform(0, 2, size=5))
-            ys = np.sort(rng.uniform(0, 2, size=5))[::-1]
-            r = Region(vertices=tuple(zip(xs.tolist(), ys.tolist())), kind="polyline")
-            c = rate_transfer_closure(r)
-            from softhandoff.model import _polyline_ymax
-
-            for x, y in r.vertices:
-                assert _polyline_ymax(c, x) >= y - 1e-12
-
-    def test_scheme1_point_transfers_to_y_axis(self):
-        # witness point from the reference allocation: (0.37237, 1.07662)
-        r = Region(vertices=((0.3723714723789627, 1.0766231301478408),), kind="polyline")
-        c = rate_transfer_closure(r)
-        assert c.vertices[0][0] == 0.0
-        assert c.vertices[0][1] == pytest.approx(1.4489946025268035, abs=1e-12)
-
-    def test_rejects_polygon(self):
-        with pytest.raises(ValueError):
-            rate_transfer_closure(Region(vertices=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))))
 
 
 class TestContainmentAtPublishedOperatingPoint:
@@ -661,11 +621,18 @@ def _best_per_bin_by_loop(cfg, want1, want2, grid_resolution, corrected):
         for i, b, val in zip(rows[ok], B[ok], tot[ok]):
             if val > bests[i][0]:
                 bests[i] = (float(val), 2, b)
+    later = (-np.inf, 0, None)  # the nearest bin at or right of i with the largest sum cap
+    for i in reversed(range(len(bests))):
+        if math.isfinite(bests[i][0]):
+            bests[i] = later = max(bests[i], later, key=lambda b: b[0])
     return [
         (float(x), best_val - float(x), scheme, row)
         for x, (best_val, scheme, row) in zip(xs, bests)
         if row is not None and math.isfinite(best_val)
     ]
+
+
+_ROUNDED_UP = NetworkConfig(alpha=-0.12117025255844062, p=0.0011244135657449612, pi=1.3953575982264668, d_max=10)
 
 
 class TestSortedSelection:
@@ -695,6 +662,15 @@ class TestSortedSelection:
         # d_max = 1: scheme 2 writes 2 levels where scheme 1 wrote 3
         self._assert_same(NetworkConfig(alpha=-0.97, p=2e6, pi=2.4, d_max=1), want1, want2, 21, corrected)
 
+    def test_a_later_larger_cap_serves_the_bins_left_of_it(self):
+        # bin 91's closed form rounds 4.1e-16 bits above bins 0..90, whose
+        # optimum is the same allocation
+        xs, ys, _, B = _best_per_bin(_ROUNDED_UP, False, True, 1000, True)
+        caps = _scheme2_batch(B, _ROUNDED_UP, True)[2]
+        assert np.all(np.diff(caps) <= 0) and ys.tolist() == (caps - xs).tolist()
+        assert np.array_equal(B[0], B[91]) and not np.array_equal(B[91], B[92])
+        self._assert_same(_ROUNDED_UP, False, True, 1000, True)
+
     def test_ties_take_the_first_row(self):
         # at pi = 0 with a strong cross gain many table rows share a sum cap
         cfg = NetworkConfig(alpha=0.9, p=1e4, pi=0.0, d_max=1)
@@ -704,7 +680,10 @@ class TestSortedSelection:
 
 
 def _rate_transfer_closure_by_loop(region):
-    """Reference: rate_transfer_closure with its suffix maximum as a Python loop."""
+    """Close a polyline region under moving fast rate to slow rate, the pass
+    inner_region once ran: if (a, b) is achievable so is (a - d, b + d) for
+    0 <= d <= a, so the closed boundary at x is max(f(x), max over points
+    right of x of (x_j + y_j) - x)."""
     v = list(region.vertices)
     xs = [p[0] for p in v]
     ys = [p[1] for p in v]
@@ -756,7 +735,8 @@ _FIG3 = {d: NetworkConfig(alpha=0.2, p=5.0, pi=2.0, d_max=d) for d in (4, 10)}
 
 
 class TestClosureSuffix:
-    """The accumulated suffix maximum closes every region as the loop did."""
+    """inner_region is the hull of the bins, and closing it under rate
+    transfer adds nothing."""
 
     @pytest.mark.parametrize("cfg,scheme,corrected", [
         (CFG_FIG2, "both", False), (CFG_FIG2, "both", True), (_FIG3[4], "2", False), (_FIG3[10], "2", False),
@@ -764,12 +744,13 @@ class TestClosureSuffix:
           for i, (cfg, _) in enumerate(_random_configs(77, 20, log10_p=(-3.0, 8.0), max_d=16))),
     ])
     def test_inner_region_matches_loop(self, cfg, scheme, corrected):
-        pts = inner_boundary(cfg, scheme, 64, corrected)
-        polyline = Region(vertices=tuple((p.x, p.y) for p in pts), kind="polyline")
-        want = _rate_transfer_closure_by_loop(polyline)
-        for got in (rate_transfer_closure(polyline), inner_region(cfg, scheme, 64, corrected)):
-            assert got == want
-            assert repr(got) == repr(want)
+        xs, ys, _, _ = _best_per_bin(cfg, scheme != "2", scheme != "1", 64, corrected)
+        hull = _upper_concave_envelope_by_loop(xs, ys)
+        want = Region(vertices=tuple(zip(xs[hull].tolist(), ys[hull].tolist())), kind="polyline")
+        got = inner_region(cfg, scheme, 64, corrected)
+        assert got == want
+        assert repr(got) == repr(want)
+        _assert_one_hull(cfg, scheme, 64, corrected)
 
 
 class TestSchemeOneSlack:
@@ -788,12 +769,13 @@ class TestSchemeOneSlack:
 
 
 def _upper_concave_envelope_by_loop(xs, ys):
+    tol = -1e-15 * (xs[-1] - xs[0]) * max(abs(y) for y in ys) if len(xs) else 0.0
     hull = []
     for i in range(len(xs)):
         while len(hull) >= 2:
             i0, i1 = hull[-2], hull[-1]
             cross = (xs[i1] - xs[i0]) * (ys[i] - ys[i0]) - (ys[i1] - ys[i0]) * (xs[i] - xs[i0])
-            if cross >= -1e-15:
+            if cross >= tol:
                 hull.pop()
             else:
                 break
@@ -820,7 +802,7 @@ def _inner_boundary_by_loop(cfg, scheme, grid_resolution, corrected):
     points = []
     for x in pxs:
         j = int(np.searchsorted(hx, x, side="right")) - 1
-        if abs(hx[j] - x) <= 1e-15:
+        if hx[j] == x:
             y = pys[hull[j]]
             comp = (witness(1.0, hull[j]),)
         else:
@@ -908,7 +890,51 @@ class TestArrayBoundary:
         assert len(built) == len(hull_vertices)  # one allocation per hull vertex, when first read
 
 
+def _assert_one_hull(cfg, scheme, grid, corrected):
+    """Every point inner_boundary reports lies on inner_region and none below
+    its own bin's optimum, and closing inner_region under rate transfer adds
+    nothing, each to a tolerance relative to max |y|."""
+    pts = inner_boundary(cfg, scheme, grid, corrected)
+    region = inner_region(cfg, scheme, grid, corrected)
+    optimum = _best_per_bin(cfg, scheme != "2", scheme != "1", grid, corrected)[1]
+    scale = np.max(np.abs(optimum))
+    x, y = pts.cols["x"], pts.cols["y"]
+    assert np.all(y <= _polyline_ymax(region, x) + 1e-15 * scale)
+    assert np.all(y >= optimum - 1e-12 * scale)
+    closed = _rate_transfer_closure_by_loop(region)
+    at = np.union1d(*(np.array(r.vertices)[:, 0] for r in (region, closed)))
+    assert np.all(_polyline_ymax(closed, at) <= _polyline_ymax(region, at) + 1e-14 * scale)
+
+
 _ALPHAS = st.floats(0.02, 0.98).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=_ALPHAS, log_p=st.floats(-3, 8), pi=st.floats(0, 3), d_max=st.integers(1, 16),
+    scheme=st.sampled_from(["1", "2", "both"]), corrected=st.booleans(), grid=st.sampled_from([16, 64, 1000]),
+)
+def test_one_hull(alpha, log_p, pi, d_max, scheme, corrected, grid):
+    _assert_one_hull(NetworkConfig(alpha=alpha, p=10 ** log_p, pi=pi, d_max=d_max), scheme, grid, corrected)
+
+
+@pytest.mark.parametrize("cfg,scheme", [
+    # an absolute 1e-13 merge in the closure dropped hull vertices: the region
+    # lay 2.4e-8 bits (2.2e-5 max |y|) below a reported point
+    (NetworkConfig(alpha=-0.9056369733905931, p=0.0015208405073686706, pi=0.9208449873225897, d_max=14), "1"),
+    # an absolute 1e-15 pop tolerance put a bin 3.2e-10 bits below its own optimum
+    (NetworkConfig(alpha=0.4524109894169359, p=0.0010720061342504596, pi=0.5854785647909587, d_max=11), "2"),
+    # the closed form rounds a sum cap 4.1e-16 bits (5e-13 max |y|) above the
+    # bins left of it; without the suffix maximum, closing the hull raised it
+    (_ROUNDED_UP, "2"),
+], ids=["closure_merge", "absolute_pop", "rounded_up_cap"])
+def test_one_hull_at_small_power(cfg, scheme):
+    _assert_one_hull(cfg, scheme, 1000, True)
+
+
+def test_bins_next_to_a_vertex_stay_on_the_chord():
+    # bins 7.2e-16 apart: a 1e-15 x tolerance gave a vertex's neighbours its y
+    _assert_one_hull(NetworkConfig(alpha=0.5, p=1e-10, pi=1.0, d_max=2), "both", 100_000, False)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -135,6 +135,8 @@ class TestValidateConfig:
             # finite, but (1 + (1 + alpha^2) p)(1 + alpha^2) overflows
             ("p", NetworkConfig(alpha=0.9, p=9e307)),
             ("p", NetworkConfig(alpha=-0.2, p=1.7e308)),
+            # an int too large for a float is not finite
+            *((name, NetworkConfig(**{"alpha": 0.2, "p": 5.0, name: 10 ** 400})) for name in ("alpha", "p", "pi", "k")),
         ],
     )
     def test_rejects_and_names_field(self, field, cfg):

@@ -38,6 +38,12 @@ class TestMuxRegion:
         with pytest.raises(ValueError):
             MuxRegionSpec("sideways", 0.1, 3)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, True, "0.3", 10 ** 400],
+                             ids=["nan", "inf", "bool", "str", "int_too_large"])
+    def test_rejects_mu_that_is_not_a_finite_real(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite and real"):
+            MuxRegionSpec("rx_bidirectional", mu, 3)
+
 
 class TestDuality:
     def test_exact_vertex_equality(self):
