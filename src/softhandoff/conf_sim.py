@@ -26,19 +26,22 @@ Rates are accounted analytically per decode step (the schemes' SNR algebra),
 not bit-simulated; forwarded estimates are taken as correct.  Everything is
 deterministic.
 
-A subnet's schedule depends only on its number of active cells, and a
-pattern has at most three such shapes: a leading partial subnet (nonzero
-offset), the full subnets and a trailing partial one.  Each shape is built
-once as a small integer template, one row per user (cell, kind, rate slot,
-round) and per message (round, from, to, rate slot, subject) with cells
-counted from the subnet's first, and tiled over its subnets with numpy into
-a layout; each power of a ladder is a 3- or 4-entry slot lookup on it.  A
+A subnet's schedule depends only on its number of active cells.  Each run
+of equal-size subnets (at most three: a leading partial one for a nonzero
+offset, the full ones, a trailing partial one) gets one integer template,
+rows per user (cell, kind, rate slot, round) and per message (round, from,
+to, rate slot, subject) in cell order, cells counted from the subnet's
+first, tiled over the run with numpy.  Runs are tiled in subnet order, so
+the layout lists users in cell order and messages subnet by subnet.  Each
+message hops to a neighbour; its link direction is 2*min(from, to) + (to <
+from).  Each ladder power is a 3- or 4-entry slot lookup on the layout.  A
 RateReport keeps the result as Columns: per-user and per-message records are
 built only when indexed or iterated, and the averages, link loads and event
 log are computed on the columns, every sum added left to right in log order.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -80,7 +83,7 @@ class Subnet:
 
     @property
     def active_count(self) -> int:
-        return max(0, self.last_active - self.first + 1)
+        return self.last_active - self.first + 1
 
 
 @dataclass(frozen=True)
@@ -111,27 +114,21 @@ class UserRate:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user rates in user order, their per-cell averages, and the conference log.
-
-    per_user and conf_log may be given as sequences of UserRate and
-    ConferenceMessage records; the report holds them as Columns.
-    """
+    """Per-user rates in user order, their per-cell averages, and the conference log,
+    as Columns of UserRate and ConferenceMessage records."""
 
     per_user: Columns
     avg_fast: float
     avg_slow: float
     conf_log: Columns
 
-    def __post_init__(self) -> None:
-        for name, record in (("per_user", UserRate), ("conf_log", ConferenceMessage)):
-            if not isinstance(getattr(self, name), Columns):
-                object.__setattr__(self, name, Columns.of(record, getattr(self, name)))
-
 
 def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
-    """Silence every (2*d_max+2)-th transmitter (counting from 1+offset).
+    """Silence the cells congruent to offset modulo the period 2*d_max+2 (the
+    period's multiples when offset is 0), listed ascending; each ends a subnet.
 
-    A trailing partial subnet silences its last transmitter as well, which
+    A nonzero offset leaves a leading partial subnet, isolated by the edge; a
+    trailing partial one silences its last transmitter as well, which
     preserves the isolation invariant at a vanishing rate cost.  Requires
     d_max >= 1 and 2*d_max+2 <= k <= _MAX_K.
     """
@@ -146,18 +143,12 @@ def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
     if not 0 <= offset < period:
         raise ValueError("offset must lie in [0, 2*d_max+2)")
 
-    # cells congruent to the offset modulo the period (multiples by default);
-    # a nonzero offset creates a leading partial subnet, isolated by the edge
-    silenced = set(range(offset or period, k + 1, period))
-    if not silenced or max(silenced) < k:
-        silenced.add(k)  # trailing partial subnet loses its last transmitter
-
-    subnets = []
-    first = 1
-    for cell in sorted(silenced):
-        subnets.append(Subnet(first=first, last_active=cell - 1, silenced_cell=cell))
-        first = cell + 1
-    return SilencingPattern(k=k, d_max=d_max, silenced=frozenset(silenced), subnets=tuple(subnets))
+    silenced = list(range(offset or period, k + 1, period))
+    if silenced[-1] < k:
+        silenced.append(k)  # trailing partial subnet loses its last transmitter
+    firsts = [1] + [cell + 1 for cell in silenced[:-1]]
+    subnets = tuple(Subnet(first, cell - 1, cell) for first, cell in zip(firsts, silenced))
+    return SilencingPattern(k=k, d_max=d_max, silenced=frozenset(silenced), subnets=subnets)
 
 
 def _rx_template(m: int, d_max: int):
@@ -195,9 +186,9 @@ def _tx_template(m: int, d_max: int):
 
 
 def _tiled(rows: list[tuple], width: int, shifted: list[int], firsts: np.ndarray) -> np.ndarray:
-    """Template rows repeated for each subnet, the shifted (cell) columns moved by its first cell."""
-    t = np.tile(np.array(rows, dtype=np.int64).reshape(len(rows), width), (len(firsts), 1))
-    t[:, shifted] += np.repeat(firsts, len(rows))[:, None]
+    """Template rows repeated per subnet as one array row per field, cells moved by its first."""
+    t = np.tile(np.array(rows, dtype=np.int64).reshape(len(rows), width).T, len(firsts))
+    t[shifted] += np.repeat(firsts, len(rows))
     return t
 
 
@@ -208,9 +199,9 @@ def _running_sum(x: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """A mode's run on a pattern at any power: user rows (cell, kind, rate slot, round) in
-    cell order, message rows (round, from, to, rate slot, subject) subnet by subnet, and
-    each message's link-direction index."""
+    """A mode's run on a pattern at any power: the users' (cell, kind, rate slot, round)
+    arrays in cell order, the messages' (round, from, to, rate slot, subject) arrays subnet
+    by subnet, and each message's link-direction index (see _directions)."""
 
     mode: str
     k: int
@@ -232,24 +223,18 @@ def _slot_rates(mode: str, cfg: NetworkConfig) -> tuple[float, ...]:
 
 
 def _layout(pattern: SilencingPattern, mode: str) -> _Layout:
-    """Tile each subnet shape's template of a mode ("rx" or "tx") over its subnets."""
+    """Tile a mode's ("rx" or "tx") template over each run of equal-size subnets, in subnet order."""
     if mode not in ("rx", "tx"):
         raise ValueError(f"mode must be 'rx' or 'tx', got {mode!r}")
     template = _rx_template if mode == "rx" else _tx_template
-    firsts = np.array([s.first for s in pattern.subnets], dtype=np.int64)
-    sizes = np.array([s.active_count for s in pattern.subnets])
-    users, msgs, msg_subnet = [], [], []
-    for m in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == m)
+    users, msgs = [], []
+    for m, run in itertools.groupby(pattern.subnets, key=lambda s: s.active_count):
+        firsts = np.array([s.first for s in run], dtype=np.int64)
         u_rows, m_rows = template(m, pattern.d_max)
-        users.append(_tiled(u_rows, 4, [0], firsts[idx]))
-        msgs.append(_tiled(m_rows, 5, [1, 2, 4], firsts[idx]))
-        msg_subnet.append(np.repeat(idx, len(m_rows)))
-    u = np.concatenate(users)
-    mm = np.concatenate(msgs)
-    users = np.ascontiguousarray(u[np.argsort(u[:, 0], kind="stable")].T)
-    msgs = np.ascontiguousarray(mm[np.argsort(np.concatenate(msg_subnet), kind="stable")].T)
-    return _Layout(mode, pattern.k, users, msgs, _directions(msgs[1], msgs[2]))
+        users.append(_tiled(u_rows, 4, [0], firsts))
+        msgs.append(_tiled(m_rows, 5, [1, 2, 4], firsts))
+    msgs = np.concatenate(msgs, axis=1)
+    return _Layout(mode, pattern.k, np.concatenate(users, axis=1), msgs, _directions(msgs[1], msgs[2]))
 
 
 def _report(layout: _Layout, cfg: NetworkConfig) -> RateReport:
@@ -269,9 +254,17 @@ def _report(layout: _Layout, cfg: NetworkConfig) -> RateReport:
     return RateReport(per_user, avg_fast, avg_slow, conf_log)
 
 
+def _check_fits(cfg: NetworkConfig, k: int, d_max: int) -> None:
+    """Raise ValueError naming k or d_max where cfg's differs from the pattern's."""
+    for name, value in (("k", k), ("d_max", d_max)):
+        if getattr(cfg, name) != value:
+            raise ValueError(f"{name} of the config is {getattr(cfg, name)!r} but the pattern's is {value!r}")
+
+
 def run_rx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateReport:
     """Analytic rate report of the receiver-conferencing silencing scheme."""
     validate_config(cfg)
+    _check_fits(cfg, pattern.k, pattern.d_max)
     return _report(_layout(pattern, "rx"), cfg)
 
 
@@ -283,14 +276,17 @@ def run_tx_conferencing(cfg: NetworkConfig, pattern: SilencingPattern) -> RateRe
     alpha^2 * d_q to the noise floor of the affected decodes.
     """
     validate_config(cfg)
+    _check_fits(cfg, pattern.k, pattern.d_max)
     return _report(_layout(pattern, "tx"), cfg)
 
 
 def _directions(frm: np.ndarray, to: np.ndarray) -> np.ndarray:
-    """Index of each message's link direction (from, to) among the distinct ones."""
-    lo = min(frm.min(initial=0), to.min(initial=0))  # any lower bound keeps the key order
-    span = max(frm.max(initial=0), to.max(initial=0)) - lo + 1
-    return np.unique((frm - lo) * span + (to - lo), return_inverse=True)[1]
+    """Link-direction index 2*min(from, to) + (to < from) of each message, which must
+    hop between neighbouring cells numbered from 1."""
+    low = np.minimum(frm, to)
+    if np.any(np.abs(frm - to) != 1) or np.any(low < 1):
+        raise ValueError("every conference message must hop to a neighbouring cell, cells numbered from 1")
+    return 2 * low + (to < frm)
 
 
 def _link_loads(direction: np.ndarray, payload: np.ndarray, k: int, half_log_p: float) -> tuple[float, float]:
@@ -328,15 +324,12 @@ def phase_rotated_load(cfg: NetworkConfig, k: int, d_max: int, mode: str = "rx")
     starts at cell 1), an edge artifact that dilutes as k grows.
     """
     validate_config(cfg)
+    _check_fits(cfg, k, d_max)
     period = 2 * d_max + 2
     logs = [_report(_layout(build_silencing(k, d_max, offset=off), mode), cfg).conf_log.cols
             for off in range(period)]
-
-    def joined(name: str) -> np.ndarray:
-        return np.concatenate([log[name] for log in logs])
-
-    return _link_loads(_directions(joined("from_node"), joined("to_node")), joined("payload_rate") / period,
-                       k, 0.5 * math.log2(cfg.p))
+    frm, to, payload = (np.concatenate([log[n] for log in logs]) for n in ("from_node", "to_node", "payload_rate"))
+    return _link_loads(_directions(frm, to), payload / period, k, 0.5 * math.log2(cfg.p))
 
 
 def _row(*fields):
@@ -408,6 +401,7 @@ def measure_mux_gains(
     value.
     """
     validate_p_ladder(p_ladder)
+    _check_fits(cfg_base, pattern.k, pattern.d_max)
     return _convergence(_layout(pattern, mode), cfg_base, p_ladder)[:2]
 
 

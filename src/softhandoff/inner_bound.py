@@ -187,16 +187,16 @@ def _alloc_from_cumulative(B: np.ndarray) -> PowerAllocation:
 
 
 def _upper_concave_envelope(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Indices of the upper concave hull of (x, y), x ascending.  A vertex
-    pops when the next point lies on or above its chord, to a cross product of
-    1e-15 times the x extent times max |y|, so the rule is free of the scale."""
-    tol = float(-1e-15 * (x[-1] - x[0]) * np.max(np.abs(y))) if len(x) else 0.0
+    """Indices of the upper concave hull of (x, y), x ascending.  A vertex pops
+    when it lies at most 1e-15 max |y| above the chord from the vertex before
+    it to the next point (cross >= tol times the chord's width): free of scale and grid."""
+    tol = float(-1e-15 * np.max(np.abs(y))) if len(x) else 0.0
     xs, ys, hull = x.tolist(), y.tolist(), []
     for i in range(len(xs)):
         while len(hull) >= 2:
             i0, i1 = hull[-2], hull[-1]
             cross = (xs[i1] - xs[i0]) * (ys[i] - ys[i0]) - (ys[i1] - ys[i0]) * (xs[i] - xs[i0])
-            if cross >= tol:
+            if cross >= tol * (xs[i] - xs[i0]):
                 hull.pop()
             else:
                 break

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,12 +155,6 @@ class Columns(Sequence):
     def __init__(self, record, cols: dict[str, np.ndarray]):
         self.record = record
         self.cols = cols
-
-    @classmethod
-    def of(cls, record, records) -> Columns:
-        """The columns of a sequence of dataclass records."""
-        records = list(records)
-        return cls(record, {f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(record)})
 
     def __len__(self) -> int:
         return len(next(iter(self.cols.values())))

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from softhandoff.conf_sim import (
     run_tx_conferencing,
     RateReport,
 )
-from softhandoff.model import NetworkConfig
+from softhandoff.model import Columns, NetworkConfig
 from softhandoff.outer_bound import outer_constraints
 
 HALF_LOG2_6 = 1.292481250360578        # forward rate at P=5
@@ -267,8 +267,25 @@ class TestConferencingLoad:
         assert per_link_max == pytest.approx(1.0, abs=0.01)
 
     def test_empty_log(self):
-        rep = RateReport(per_user=(), avg_fast=0.0, avg_slow=0.0, conf_log=())
+        rep = _report_of((), 0.0, 0.0, ())
         assert conferencing_load(rep, 100.0) == (0.0, 0.0)
+
+    def test_each_direction_of_a_link_loads_apart(self):
+        users = [UserRate(c, "slow", 1.0, 0) for c in range(1, 4)]
+        msgs = [ConferenceMessage(1, 1, 2, 1.0, "quantization_index", 1),
+                ConferenceMessage(1, 2, 1, 2.0, "quantization_index", 2),
+                ConferenceMessage(2, 1, 2, 0.5, "quantization_index", 1)]
+        half_log_p = 0.5 * math.log2(100.0)
+        assert conferencing_load(_report_of(users, 0.0, 0.0, msgs), 100.0) == (2.0 / half_log_p, 3.5 / (4 * half_log_p))
+
+    # a hop to itself, past a neighbour, and to a cell below 1 (np.add.at would wrap its index)
+    @pytest.mark.parametrize("frm,to", [(2, 2), (2, 4), (1, 0)])
+    def test_rejects_a_hop_other_than_to_a_neighbouring_cell(self, frm, to):
+        users = [UserRate(c, "slow", 1.0, 0) for c in range(1, 5)]
+        msgs = [ConferenceMessage(1, 2, 3, 1.0, "quantization_index", 2),
+                ConferenceMessage(1, frm, to, 1.0, "quantization_index", frm)]
+        with pytest.raises(ValueError, match="neighbour"):
+            conferencing_load(_report_of(users, 0.0, 0.0, msgs), 100.0)
 
     def test_phase_rotation_equalises_interior_links(self):
         cfg = NetworkConfig(alpha=0.5, p=1e6, d_max=2, k=36)
@@ -286,9 +303,46 @@ class TestConferencingLoad:
                 phase_rotated_load(cfg, 36, 2, mode=mode)
 
 
+class TestConfigFitsPattern:
+    """The simulator's entry points take k and d_max from the pattern (or
+    their own arguments) and reject a config that says otherwise."""
+
+    PATTERN = build_silencing(22, 10)
+
+    @pytest.mark.parametrize("field,value", [("k", 100), ("k", math.inf), ("d_max", 3)])
+    @pytest.mark.parametrize("run", [run_rx_conferencing, run_tx_conferencing])
+    def test_runs_reject_a_mismatch(self, run, field, value):
+        cfg = replace(NetworkConfig(alpha=0.5, p=1e6, k=22, d_max=10), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} of the config"):
+            run(cfg, self.PATTERN)
+
+    @pytest.mark.parametrize("field,value", [("k", 100), ("d_max", 3)])
+    def test_measure_mux_gains_rejects_a_mismatch(self, field, value):
+        cfg = replace(NetworkConfig(alpha=0.5, p=1e6, k=22, d_max=10), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} of the config"):
+            measure_mux_gains(cfg, self.PATTERN, [1e2, 1e4, 1e6])
+
+    @pytest.mark.parametrize("field,value", [("k", 100), ("d_max", 3)])
+    def test_phase_rotated_load_rejects_a_mismatch(self, field, value):
+        cfg = replace(NetworkConfig(alpha=0.5, p=1e6, k=36, d_max=2), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} of the config"):
+            phase_rotated_load(cfg, 36, 2)
+
+
 # --------------------------------------------------------------------------
 # Reference: the per-subnet record loops the columnar simulator replaced
 # --------------------------------------------------------------------------
+
+def _columns(record, records):
+    """The Columns of a sequence of dataclass records."""
+    records = list(records)
+    return Columns(record, {f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(record)})
+
+
+def _report_of(users, avg_fast, avg_slow, msgs):
+    """A RateReport of UserRate and ConferenceMessage records."""
+    return RateReport(_columns(UserRate, users), avg_fast, avg_slow, _columns(ConferenceMessage, msgs))
+
 
 def _ref_rx_subnet(sub, d_max, r_fwd, r_bwd):
     users, msgs = [], []
@@ -417,6 +471,9 @@ def _configs():
         alpha = rng.uniform(0.05, 0.95) * rng.choice((-1, 1))
         p = 10 ** rng.uniform(-1, 6)
         out.append((NetworkConfig(alpha=alpha, p=p, d_max=d, k=k), build_silencing(k, d, offset=off)))
+    # subnet sizes [2, 5, 5, 2]: the leading and trailing partial subnets share
+    # a template, both carry messages, and a run of full subnets lies between
+    out.append((NetworkConfig(alpha=-0.3, p=50.0, d_max=2, k=18), build_silencing(18, 2, offset=3)))
     return out
 
 
@@ -481,7 +538,7 @@ class TestRateReportColumns:
         cfg, pattern = CONFIGS[7]
         rep = run_rx_conferencing(cfg, pattern)
         users, avg_fast, avg_slow, msgs = _ref_run(cfg, pattern, "rx")
-        from_records = RateReport(per_user=users, avg_fast=avg_fast, avg_slow=avg_slow, conf_log=msgs)
+        from_records = _report_of(users, avg_fast, avg_slow, msgs)
         assert rep == from_records
         assert rep.per_user == users and users == rep.per_user
         assert rep != run_rx_conferencing(replace(cfg, p=cfg.p * 2), pattern)
@@ -502,7 +559,7 @@ class TestSharedLayout:
             for p in ladder:
                 users, avg_fast, avg_slow, msgs = _ref_run(replace(cfg, p=p), pattern, mode)
                 rep = conf_sim._report(layout, replace(cfg, p=p))
-                assert rep == RateReport(per_user=users, avg_fast=avg_fast, avg_slow=avg_slow, conf_log=msgs)
+                assert rep == _report_of(users, avg_fast, avg_slow, msgs)
                 assert (rep.avg_fast, rep.avg_slow) == (avg_fast, avg_slow)
                 assert conferencing_load(rep, p) == _ref_load(msgs, len(users), p)
             top = replace(cfg, p=ladder[-1])
@@ -524,7 +581,7 @@ class TestEventOrder:
                      for c in range(1, 41)]
             msgs = [ConferenceMessage(rng.randrange(4), rng.randint(1, 40), rng.randint(1, 40), rng.choice([0.5, 2.0]),
                                       "quantization_index", rng.randint(1, 40)) for _ in range(n_msgs)]
-            rep = RateReport(per_user=users, avg_fast=0.0, avg_slow=0.0, conf_log=msgs)
+            rep = _report_of(users, 0.0, 0.0, msgs)
             assert list(event_log_rows(rep, pattern)) == _ref_event_rows(users, msgs, pattern)
 
 

@@ -769,13 +769,13 @@ class TestSchemeOneSlack:
 
 
 def _upper_concave_envelope_by_loop(xs, ys):
-    tol = -1e-15 * (xs[-1] - xs[0]) * max(abs(y) for y in ys) if len(xs) else 0.0
+    tol = -1e-15 * max(abs(y) for y in ys) if len(xs) else 0.0
     hull = []
     for i in range(len(xs)):
         while len(hull) >= 2:
             i0, i1 = hull[-2], hull[-1]
             cross = (xs[i1] - xs[i0]) * (ys[i] - ys[i0]) - (ys[i1] - ys[i0]) * (xs[i] - xs[i0])
-            if cross >= tol:
+            if cross >= tol * (xs[i] - xs[i0]):
                 hull.pop()
             else:
                 break
@@ -930,6 +930,14 @@ def test_one_hull(alpha, log_p, pi, d_max, scheme, corrected, grid):
 ], ids=["closure_merge", "absolute_pop", "rounded_up_cap"])
 def test_one_hull_at_small_power(cfg, scheme):
     _assert_one_hull(cfg, scheme, 1000, True)
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_one_hull_on_a_fine_grid(corrected):
+    # a pop tolerance scaled by the x extent let a bin fall 2.6e-10 bits
+    # (5.0e-11 max |y|) below its own optimum at grid 100000
+    cfg = NetworkConfig(alpha=-0.9616770937254132, p=1233.2013501008196, pi=1.4508740907701632, d_max=2)
+    _assert_one_hull(cfg, "2", 100_000, corrected)
 
 
 def test_bins_next_to_a_vertex_stay_on_the_chord():
