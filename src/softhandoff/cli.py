@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from itertools import repeat
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .outer_bound import outer_region
 from .reference_curves import KNOWN_DISCREPANCIES, get_reference, match_inner_reference
 
 _ENV_OUTDIR = "SOFTHANDOFF_OUTDIR"
+_BLOCK_ROWS = 8192  # CSV rows assembled and written at once
 
 
 def _fmt(v: float) -> str:
@@ -37,35 +39,63 @@ def _outdir() -> str:
     return os.environ.get(_ENV_OUTDIR, ".")
 
 
+def _digit_table(lo: int, hi: int) -> np.ndarray:
+    """str(i) for lo <= i <= hi, then "", as right-aligned NUL-padded ASCII void cells."""
+    q, width = np.abs(np.arange(lo, hi + 1)), len(str(max(-lo, hi))) + (lo < 0)
+    table = np.zeros((len(q) + 1, width), dtype=np.uint8)
+    for j in range(1, width + 1):  # digits right to left while the number has any (0 has one)
+        table[:-1, -j] = np.where((q > 0) | (j == 1), q % 10 + 48, 0)
+        q //= 10
+    neg = np.arange(min(-lo, len(q)))  # the negative rows lead; a '-' goes just left of the leading digit
+    table[neg, np.count_nonzero(table[neg] == 0, axis=1) - 1] = 45
+    return table.view(f"V{width}").ravel()
+
+
+def _cells(col: np.ndarray, ints: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """A column's text as void cells and each row's index into them (None: a cell per row)."""
+    data, mask = np.ma.getdata(col), np.ma.getmask(col)
+    if data.dtype.kind in "iu":
+        return ints, np.where(mask, -1, data - lo)
+    if data.dtype.kind == "f":
+        values = np.unique(data)  # -0.0 and 0.0 fold into one value, as do the NaNs
+        text = [*map(format, values.tolist(), repeat(".12g")), ""]
+        if "-0" in text:
+            text[text.index("-0")] = "0"
+        cells = np.array(text, dtype="S")
+        return cells.view(f"V{cells.itemsize}"), np.where(mask, -1, np.searchsorted(values, data))
+    text = np.ascontiguousarray(np.where(mask, "", data) if mask is not np.ma.nomask else data, dtype=str)
+    if text.view(np.uint32).max(initial=0) >= 128:  # UCS-4 bytes read as ASCII only below 128
+        text = np.char.encode(text, "utf-8")
+    return text.view(f"V{text.itemsize}"), None
+
+
 def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
     """Write each (path, header, equal-length columns) as a CSV, one row per line.
 
-    Integer cells index one table of str(i) over the files' integer range, which
-    the callers keep small (cells, users, rounds and subnets of k <= _MAX_K
-    cells).  Floats go through _fmt once per distinct value; strings are
-    written as they are; masked cells, integer or float, read "".  Rows go
-    out in blocks, so no file's whole text is held as one string.
+    Each column becomes NUL-padded void cells: integers index one digit table over the files'
+    integer range, which the callers keep small (k <= _MAX_K cells); floats are formatted as _fmt
+    does, once per distinct value; strings are their UCS-4 code points (UTF-8 where one is not
+    ASCII); masked cells are NUL.  A block of rows is one packed record array, a cell and a
+    separator byte per column, written with its NULs dropped: no Python object per row or cell.
     """
     files = [(path, header, [np.asanyarray(c) for c in columns]) for path, header, columns in files]
     ints = [v for _, _, cols in files for c in cols if c.dtype.kind in "iu" and (v := np.ma.compressed(c)).size]
     lo, hi = min((int(v.min()) for v in ints), default=0), max((int(v.max()) for v in ints), default=-1)
-    table = np.array([*map(str, range(lo, hi + 1)), ""], dtype=object)
+    table = _digit_table(lo, hi) if ints else np.zeros(1, "V1")
     for path, header, cols in files:
-        text = []
-        for col in cols:
-            if col.dtype.kind in "iu":
-                text.append(table[np.where(np.ma.getmaskarray(col), -1, np.ma.getdata(col) - lo)].tolist())
-            elif col.dtype.kind == "f":
-                values, inverse = np.unique(np.ma.getdata(col), return_inverse=True)
-                cells = np.array([*map(_fmt, values.tolist()), ""], dtype=object)
-                text.append(cells[np.where(np.ma.getmaskarray(col), -1, inverse)].tolist())
-            else:
-                text.append(col.tolist())
-        rows = [",".join(header), *map(",".join, zip(*text))]
-        del text
-        with open(path, "w", newline="\n") as fh:
-            for i in range(0, len(rows), 8192):
-                fh.write("\n".join(rows[i:i + 8192]) + "\n")
+        cells = [_cells(c, table, lo) for c in cols]
+        n = len(cols[0]) if cols else 0
+        buf = np.empty(min(n, _BLOCK_ROWS), [(f"{name}{j}", t) for j, (c, _) in enumerate(cells)
+                                              for name, t in (("c", c.dtype), ("s", np.uint8))])
+        for j in range(len(cells)):
+            buf[f"s{j}"] = 10 if j == len(cells) - 1 else 44  # a newline ends a row, a ',' any other cell
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for i in range(0, n, _BLOCK_ROWS):
+                block = buf[:n - i]
+                for j, (c, idx) in enumerate(cells):
+                    block[f"c{j}"] = c[i:i + len(block)] if idx is None else c[idx[i:i + len(block)]]
+                fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]], source: str) -> None:

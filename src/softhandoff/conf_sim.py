@@ -67,7 +67,7 @@ __all__ = [
     "event_log_rows",
 ]
 
-_USER_KINDS = np.array(["fast", "slow", "silenced", "relay"], dtype=object)
+_USER_KINDS = np.array(["fast", "slow", "silenced", "relay"])
 _PAYLOAD_KIND = {"rx": "decoded_message_estimate", "tx": "quantization_index"}
 _FAST, _SLOW, _SILENCED, _RELAY = range(4)
 _MAX_K = 200_000  # a run holds about 1 KB per cell: this caps one near 200 MB
@@ -248,7 +248,7 @@ def _report(layout: _Layout, cfg: NetworkConfig) -> RateReport:
     per_user = Columns(UserRate, {"user": user, "kind": _USER_KINDS[kind], "rate": rate, "decode_round": rnd})
     conf_log = Columns(ConferenceMessage, {
         "round": m_rnd, "from_node": frm, "to_node": to, "payload_rate": table[m_slot],
-        "payload_kind": np.array([_PAYLOAD_KIND[layout.mode]], dtype=object).repeat(len(m_rnd)),
+        "payload_kind": np.broadcast_to(np.array(_PAYLOAD_KIND[layout.mode]), len(m_rnd)),  # read-only
         "subject": subject,
     })
     return RateReport(per_user, avg_fast, avg_slow, conf_log)
@@ -359,7 +359,7 @@ def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     return Columns(_row, {
         "subnet": np.searchsorted([s.silenced_cell for s in pattern.subnets], cells)[order],
         "user": user[order],
-        "event_kind": np.array(["conference", "decode"], dtype=object)[decode],
+        "event_kind": np.array(["conference", "decode"])[decode],
         "round": rnd[order],
         "rate_bits": np.concatenate([users["rate"][dec], log["payload_rate"]])[order],
         "from": np.ma.masked_array(np.concatenate([none, log["from_node"]])[order], decode),

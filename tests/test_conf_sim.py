@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softhandoff import conf_sim
-from softhandoff.cli import _fmt, _write_csvs
+from softhandoff.cli import _BLOCK_ROWS, _fmt, _write_csvs
 from softhandoff.conf_sim import (
     ConferenceMessage,
     ConvergenceRow,
@@ -607,6 +607,32 @@ CSV_COLUMNS = {
 }
 
 
+# every file of a call shares one digit table, so one window of integers per
+# call keeps it small; digit counts change at the powers of ten, and
+# +-999999 is the widest
+INT_WINDOWS = st.tuples(st.sampled_from([0, 9, 10, 99, 100, 9_999, 10_000, 99_999, 999_999]), st.sampled_from([1, -1]),
+                        st.sampled_from([0, 3, 200, 20_000]))
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+                  5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.1, -2.5, 1 / 3]
+STRINGS = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\0"), max_size=5)
+
+
+def _drawn_csv(data, i, window):
+    """A header and equal-length columns: cells drawn from a small pool per column,
+    masked or not, integers from the window, strings as a fixed-width or an object array."""
+    center, half = window[0] * window[1], window[2]
+    pools = {"int": st.integers(max(center - half, -999_999), min(center + half, 999_999)),
+             "float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), "str": STRINGS, "object": STRINGS}
+    n = data.draw(st.sampled_from([0, 1, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in data.draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=5)):
+        pool = data.draw(st.lists(pools[kind], min_size=1, max_size=6))
+        col = np.array(pool, dtype=object if kind == "object" else None)[rng.integers(len(pool), size=n)]
+        columns.append(np.ma.masked_array(col, rng.random(n) < 0.3) if data.draw(st.booleans()) else col)
+    return [f"f{i}c{j}" for j in range(len(columns))], columns
+
+
 class TestCsvText:
     @pytest.mark.parametrize("name", sorted(CSV_COLUMNS))
     def test_matches_per_cell_formatting(self, tmp_path, name):
@@ -622,6 +648,19 @@ class TestCsvText:
         for path, header, columns in files:
             with open(path) as fh:
                 assert fh.read() == _ref_csv(header, columns)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_per_cell_formatting_on_drawn_columns(self, tmp_path_factory, data):
+        """Files of int, float and string columns, any of them masked, at row
+        counts on either side of the writer's block size, written in one call."""
+        tmp = tmp_path_factory.mktemp("csv")
+        window = data.draw(INT_WINDOWS)
+        files = [(str(tmp / f"{i}.csv"), *_drawn_csv(data, i, window)) for i in range(data.draw(st.integers(1, 2)))]
+        _write_csvs(files)
+        for path, header, columns in files:
+            with open(path, "rb") as fh:
+                assert fh.read() == _ref_csv(header, columns).encode()
 
 
 def _max_link_bits(report):

@@ -15,10 +15,15 @@ golden CSVs), and before `simulate` evaluated every ladder power on one
 silencing layout and wrote CSV text from lookup tables (simulate with a
 5-power ladder, a negative alpha and a trailing subnet with no active cell),
 and before the inner boundary was interpolated and written from arrays (fig2
-and corrected fig3 d_max=10 at grid 1000);
+and corrected fig3 d_max=10 at grid 1000), and before CSV text was assembled
+as bytes with no Python string per cell (simulate at k=44000, whose 9 MB of
+CSVs are pinned by their sha256 digests with the command that regenerates
+them);
 a change that moves any byte of them changes a published
 output and must say so.
 """
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -90,6 +95,16 @@ def test_csv_bytes_match_golden(name, tmp_path, capsys):
     assert outputs
     for out in outputs:
         assert out.read_bytes() == (GOLDEN / out.name).read_bytes(), out.name
+
+
+def test_large_simulate_csv_digests(tmp_path, capsys):
+    """Five-digit cells and files of many row blocks, at the prelog_sim settings."""
+    pins = json.loads((GOLDEN / "simulate_k44000_dmax10.sha256.json").read_text())
+    for mode in ("rx", "tx"):
+        assert main(["simulate", mode, "--k", "44000", "--dmax", "10", "--alpha", "0.5", "--p-ladder", "1e2,1e4,1e6",
+                     "--out", str(tmp_path / f"simulate_{mode}_k44000_dmax10")]) == 0
+    outputs = [Path(line) for line in capsys.readouterr().out.splitlines()]
+    assert {out.name: hashlib.sha256(out.read_bytes()).hexdigest() for out in outputs} == pins["sha256"]
 
 
 # stdout golden -> (reference label, golden CSV compared against it)
