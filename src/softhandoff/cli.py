@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from itertools import repeat
 
 import numpy as np
@@ -39,62 +40,118 @@ def _outdir() -> str:
     return os.environ.get(_ENV_OUTDIR, ".")
 
 
+def _digit_rows(start: int, n: int, width: int) -> np.ndarray:
+    """The digits of start, start+1, ..., start+n-1 (start >= 0) as n rows of width ASCII bytes,
+    right-aligned and NUL-padded.  The digit of 10^j runs through 0..9 once per 10^(j+1) rows, so
+    each byte column is a tiled cycle: no division."""
+    rows = np.zeros((n, width), dtype=np.uint8)
+    for j in range(len(str(start + n - 1))):
+        place = 10**j
+        cycle = np.repeat(np.arange(48, 58, dtype=np.uint8), place)
+        shift = start % (10 * place)
+        rows[:, -1 - j] = np.tile(cycle, (shift + n) // (10 * place) + 1)[shift:shift + n]
+        if j:  # no leading zeros
+            rows[:max(place - start, 0), -1 - j] = 0
+    return rows
+
+
 def _digit_table(lo: int, hi: int) -> np.ndarray:
-    """str(i) for lo <= i <= hi, then "", as right-aligned NUL-padded ASCII void cells."""
-    q, width = np.abs(np.arange(lo, hi + 1)), len(str(max(-lo, hi))) + (lo < 0)
-    table = np.zeros((len(q) + 1, width), dtype=np.uint8)
-    for j in range(1, width + 1):  # digits right to left while the number has any (0 has one)
-        table[:-1, -j] = np.where((q > 0) | (j == 1), q % 10 + 48, 0)
-        q //= 10
-    neg = np.arange(min(-lo, len(q)))  # the negative rows lead; a '-' goes just left of the leading digit
-    table[neg, np.count_nonzero(table[neg] == 0, axis=1) - 1] = 45
-    return table.view(f"V{width}").ravel()
+    """str(i) for lo <= i <= hi, then "", as rows of right-aligned NUL-padded ASCII bytes."""
+    width = len(str(max(-lo, hi))) + (lo < 0)
+    table = np.zeros((hi - lo + 2, width), dtype=np.uint8)
+    if hi >= 0:
+        start = max(lo, 0)
+        table[start - lo:-1] = _digit_rows(start, hi - start + 1, width)
+    if lo < 0:  # the negative rows lead, |i| falling; a '-' goes just left of the leading digit
+        least = max(-hi, 1)
+        neg = table[min(hi, -1) - lo::-1]  # |i| rising from least
+        neg[:] = _digit_rows(least, len(neg), width)
+        for d in range(len(str(least)), len(str(-lo)) + 1):  # the rows of d-digit |i|
+            neg[max(10**(d - 1) - least, 0):10**d - least, -1 - d] = 45
+    return table
 
 
-def _cells(col: np.ndarray, ints: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """A column's text as void cells and each row's index into them (None: a cell per row)."""
+def _int_span(col: np.ndarray) -> tuple[int, int] | None:
+    """The least and the greatest unmasked value of an integer column (None: it has none)."""
+    if col.dtype.kind not in "iu" or not (values := np.ma.compressed(col)).size:
+        return None
+    return int(values.min()), int(values.max())
+
+
+def _cells(col: np.ndarray, table: np.ndarray, lo: int,
+           span: tuple[int, int] | None) -> tuple[np.dtype, Callable[[slice], np.ndarray]]:
+    """A column's cell type, NUL-padded void cells as wide as its widest one, and the function
+    that gives the cells of a slice of its rows.  An integer column's cells are the digit table's
+    rows of its span (lo is the table's first number) and its "" row, a float column's the text
+    of its distinct values and "", and each row of a slice indexes them; an ASCII string column is
+    cast to one byte per character a slice at a time."""
     data, mask = np.ma.getdata(col), np.ma.getmask(col)
+    if data.dtype.kind in "iu" and span is None:  # every cell masked
+        return np.dtype("V1"), lambda rows: np.zeros(len(data[rows]), "V1")
     if data.dtype.kind in "iu":
-        return ints, np.where(mask, -1, data - lo)
-    if data.dtype.kind == "f":
+        a, b = span
+        width = max(len(str(a)), len(str(b)))
+        text = np.concatenate([table[a - lo:b - lo + 1, -width:], table[-1:, -width:]]).view(f"V{width}").ravel()
+
+        def key(rows):
+            return np.subtract(data[rows], a, dtype=np.intp)
+    elif data.dtype.kind == "f":
         values = np.unique(data)  # -0.0 and 0.0 fold into one value, as do the NaNs
-        text = [*map(format, values.tolist(), repeat(".12g")), ""]
-        if "-0" in text:
-            text[text.index("-0")] = "0"
-        cells = np.array(text, dtype="S")
-        return cells.view(f"V{cells.itemsize}"), np.where(mask, -1, np.searchsorted(values, data))
-    text = np.ascontiguousarray(np.where(mask, "", data) if mask is not np.ma.nomask else data, dtype=str)
-    if text.view(np.uint32).max(initial=0) >= 128:  # UCS-4 bytes read as ASCII only below 128
+        words = [*map(format, values.tolist(), repeat(".12g")), ""]
+        if "-0" in words:
+            words[words.index("-0")] = "0"
+        text = np.array(words, dtype="S")
+        text = text.view(f"V{text.itemsize}")
+
+        def key(rows):
+            return np.searchsorted(values, data[rows])
+    else:
+        text = np.ascontiguousarray(np.where(mask, "", data) if mask is not np.ma.nomask else data, dtype=str)
+        if text.view(np.uint32).max(initial=0) < 128:  # ASCII: one byte per character
+            cell = np.dtype(f"V{text.itemsize // 4}")
+            return cell, lambda rows: text[rows].view(np.uint32).astype(np.uint8).view(cell)
         text = np.char.encode(text, "utf-8")
-    return text.view(f"V{text.itemsize}"), None
+        text = text.view(f"V{text.itemsize}")
+        return text.dtype, text.__getitem__
+
+    def cells(rows):
+        i = key(rows)
+        if mask is not np.ma.nomask:
+            i[mask[rows]] = -1  # the "" cell
+        return text.take(i)
+    return text.dtype, cells
 
 
 def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
     """Write each (path, header, equal-length columns) as a CSV, one row per line.
 
-    Each column becomes NUL-padded void cells: integers index one digit table over the files'
-    integer range, which the callers keep small (k <= _MAX_K cells); floats are formatted as _fmt
-    does, once per distinct value; strings are their UCS-4 code points (UTF-8 where one is not
-    ASCII); masked cells are NUL.  A block of rows is one packed record array, a cell and a
-    separator byte per column, written with its NULs dropped: no Python object per row or cell.
+    Each column becomes NUL-padded void cells, as narrow as its widest cell: integers index the
+    rows of one digit table over the files' integer range, which the callers keep small (k <=
+    _MAX_K cells), cut to the column's own width; floats are formatted as _fmt does, once per
+    distinct value; strings are one byte per character where they are ASCII (by a cast of their
+    UCS-4 code points), else their UTF-8 bytes; masked cells are NUL.  A block of rows is one
+    packed record array, a cell and a separator byte per column, written with its NULs dropped.
+    Each block's cells are found when it is filled, so no array of cell indices or of cast text
+    as long as a column is built, and no Python object per row or cell.
     """
     files = [(path, header, [np.asanyarray(c) for c in columns]) for path, header, columns in files]
-    ints = [v for _, _, cols in files for c in cols if c.dtype.kind in "iu" and (v := np.ma.compressed(c)).size]
-    lo, hi = min((int(v.min()) for v in ints), default=0), max((int(v.max()) for v in ints), default=-1)
-    table = _digit_table(lo, hi) if ints else np.zeros(1, "V1")
-    for path, header, cols in files:
-        cells = [_cells(c, table, lo) for c in cols]
+    spans = [[_int_span(c) for c in cols] for _, _, cols in files]
+    ends = [end for col_spans in spans for span in col_spans if span for end in span]
+    lo = min(ends, default=0)
+    table = _digit_table(lo, max(ends)) if ends else None
+    for (path, header, cols), col_spans in zip(files, spans):
+        cells = [_cells(c, table, lo, span) for c, span in zip(cols, col_spans)]
         n = len(cols[0]) if cols else 0
-        buf = np.empty(min(n, _BLOCK_ROWS), [(f"{name}{j}", t) for j, (c, _) in enumerate(cells)
-                                              for name, t in (("c", c.dtype), ("s", np.uint8))])
+        buf = np.empty(min(n, _BLOCK_ROWS), [(f"{name}{j}", t) for j, (cell, _) in enumerate(cells)
+                                              for name, t in (("c", cell), ("s", np.uint8))])
         for j in range(len(cells)):
             buf[f"s{j}"] = 10 if j == len(cells) - 1 else 44  # a newline ends a row, a ',' any other cell
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for i in range(0, n, _BLOCK_ROWS):
                 block = buf[:n - i]
-                for j, (c, idx) in enumerate(cells):
-                    block[f"c{j}"] = c[i:i + len(block)] if idx is None else c[idx[i:i + len(block)]]
+                for j, (_, cells_of) in enumerate(cells):
+                    block[f"c{j}"] = cells_of(slice(i, i + len(block)))
                 fh.write(block.tobytes().translate(None, b"\0"))
 
 
@@ -142,9 +199,18 @@ def _checked(params: dict, name: str, default, *types: type):
     return value
 
 
+def _out(params: dict, default: str) -> str:
+    """params["out"], or default in the output directory, checked to lie in an existing
+    directory before any work is done."""
+    out = _checked(params, "out", None, str, type(None)) or os.path.join(_outdir(), default)
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"out must lie in an existing directory, got {out!r}")
+    return out
+
+
 def _run_region(params: dict) -> list[str]:
     kind = params["kind"]
-    out = _checked(params, "out", None, str, type(None)) or os.path.join(_outdir(), f"region_{kind}.csv")
+    out = _out(params, f"region_{kind}.csv")
     if kind == "mux":
         spec = MuxRegionSpec(mode=params.get("mode", "rx_bidirectional"), mu=params.get("mu", 0.0),
                              d_max=params.get("dmax", 1))
@@ -179,7 +245,7 @@ def _run_region(params: dict) -> list[str]:
 def _run_simulate(params: dict) -> list[str]:
     mode = params["mode"]
     k, d_max = _checked(params, "k", None, int), _checked(params, "dmax", None, int)
-    prefix = _checked(params, "out", None, str, type(None)) or os.path.join(_outdir(), f"simulate_{mode}")
+    prefix = _out(params, f"simulate_{mode}")
     ladder = _parse_ladder(params["p_ladder"])
     validate_p_ladder(ladder)
     cfg = validate_config(NetworkConfig(alpha=params["alpha"], p=ladder[-1], k=k, d_max=d_max))

@@ -26,22 +26,25 @@ Rates are accounted analytically per decode step (the schemes' SNR algebra),
 not bit-simulated; forwarded estimates are taken as correct.  Everything is
 deterministic.
 
-A subnet's schedule depends only on its number of active cells.  Each run
-of equal-size subnets (at most three: a leading partial one for a nonzero
-offset, the full ones, a trailing partial one) gets one integer template,
-rows per user (cell, kind, rate slot, round) and per message (round, from,
-to, rate slot, subject) in cell order, cells counted from the subnet's
-first, tiled over the run with numpy.  Runs are tiled in subnet order, so
-the layout lists users in cell order and messages subnet by subnet.  Each
-message hops to a neighbour; its link direction is 2*min(from, to) + (to <
-from).  Each ladder power is a 3- or 4-entry slot lookup on the layout.  A
-RateReport keeps the result as Columns: per-user and per-message records are
-built only when indexed or iterated, and the averages, link loads and event
-log are computed on the columns, every sum added left to right in log order.
+A silencing pattern holds its subnets as Columns of first, last active and
+silenced cell, built with numpy.  A subnet's schedule depends only on its
+number of active cells.  Each run of equal-size subnets (at most three: a
+leading partial one for a nonzero offset, the full ones, a trailing partial
+one), found with one np.diff, gets one integer template, rows per user
+(cell, kind, rate slot, round) and per message (round, from, to, rate slot,
+subject) in cell order, cells counted from the subnet's first, tiled over
+the run with numpy.  Runs are tiled in subnet order, so the layout lists
+users in cell order and messages subnet by subnet.  Each message hops to a
+neighbour; its link direction is 2*min(from, to) + (to < from).  The layout
+also keeps what no power changes: the users' kind labels and the rate slots
+of the fast and the slow users.  Each ladder power is then a 3- or 4-entry
+slot lookup on the layout and two running sums.  A RateReport keeps the
+result as Columns: per-user and per-message records are built only when
+indexed or iterated, and the averages, link loads and event log are
+computed on the columns, every sum added left to right in log order.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -71,6 +74,7 @@ _USER_KINDS = np.array(["fast", "slow", "silenced", "relay"])
 _PAYLOAD_KIND = {"rx": "decoded_message_estimate", "tx": "quantization_index"}
 _FAST, _SLOW, _SILENCED, _RELAY = range(4)
 _MAX_K = 200_000  # a run holds about 1 KB per cell: this caps one near 200 MB
+_USER_CELLS, _MSG_CELLS = np.array([1, 0, 0, 0]), np.array([0, 1, 1, 0, 1])  # the template fields that are cells
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,13 @@ class Subnet:
 
 @dataclass(frozen=True)
 class SilencingPattern:
+    """The silenced cells of k, and the subnets they end as Columns of Subnet records
+    (first, last_active, silenced_cell), in cell order."""
+
     k: int
     d_max: int
     silenced: frozenset[int]
-    subnets: tuple[Subnet, ...]
+    subnets: Columns
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,8 @@ class RateReport:
 
 def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
     """Silence the cells congruent to offset modulo the period 2*d_max+2 (the
-    period's multiples when offset is 0), listed ascending; each ends a subnet.
+    period's multiples when offset is 0), listed ascending; each ends a subnet,
+    and the pattern holds the subnets as Columns, so a Subnet is built only when read.
 
     A nonzero offset leaves a leading partial subnet, isolated by the edge; a
     trailing partial one silences its last transmitter as well, which
@@ -143,12 +151,12 @@ def build_silencing(k: int, d_max: int, offset: int = 0) -> SilencingPattern:
     if not 0 <= offset < period:
         raise ValueError("offset must lie in [0, 2*d_max+2)")
 
-    silenced = list(range(offset or period, k + 1, period))
+    silenced = np.arange(offset or period, k + 1, period)
     if silenced[-1] < k:
-        silenced.append(k)  # trailing partial subnet loses its last transmitter
-    firsts = [1] + [cell + 1 for cell in silenced[:-1]]
-    subnets = tuple(Subnet(first, cell - 1, cell) for first, cell in zip(firsts, silenced))
-    return SilencingPattern(k=k, d_max=d_max, silenced=frozenset(silenced), subnets=subnets)
+        silenced = np.append(silenced, k)  # trailing partial subnet loses its last transmitter
+    first = np.concatenate([[1], silenced[:-1] + 1])
+    subnets = Columns(Subnet, {"first": first, "last_active": silenced - 1, "silenced_cell": silenced})
+    return SilencingPattern(k=k, d_max=d_max, silenced=frozenset(silenced.tolist()), subnets=subnets)
 
 
 def _rx_template(m: int, d_max: int):
@@ -185,11 +193,18 @@ def _tx_template(m: int, d_max: int):
     return users, msgs
 
 
-def _tiled(rows: list[tuple], width: int, shifted: list[int], firsts: np.ndarray) -> np.ndarray:
-    """Template rows repeated per subnet as one array row per field, cells moved by its first."""
-    t = np.tile(np.array(rows, dtype=np.int64).reshape(len(rows), width).T, len(firsts))
-    t[shifted] += np.repeat(firsts, len(rows))
-    return t
+def _tiled(runs: list[tuple[list[tuple], np.ndarray]], shifted: np.ndarray) -> np.ndarray:
+    """Each run's template rows repeated per subnet of the run, run after run, as one array row
+    per field; the fields where shifted is 1 (the cells) are moved by the subnet's first cell."""
+    out = np.empty((len(shifted), sum(len(rows) * len(firsts) for rows, firsts in runs)), dtype=np.int64)
+    at = 0
+    for rows, firsts in runs:
+        t = np.array(rows, dtype=np.int64).reshape(len(rows), len(shifted)).T
+        n = len(rows) * len(firsts)
+        np.add(t[:, None, :], shifted[:, None, None] * firsts[:, None],
+               out=out[:, at:at + n].reshape(len(t), len(firsts), len(rows)))  # a view: written in place
+        at += n
+    return out
 
 
 def _running_sum(x: np.ndarray) -> float:
@@ -201,13 +216,17 @@ def _running_sum(x: np.ndarray) -> float:
 class _Layout:
     """A mode's run on a pattern at any power: the users' (cell, kind, rate slot, round)
     arrays in cell order, the messages' (round, from, to, rate slot, subject) arrays subnet
-    by subnet, and each message's link-direction index (see _directions)."""
+    by subnet, each message's link-direction index (see _directions), the users' kind labels
+    (read-only), and the rate slots of the fast and of the slow users, in cell order."""
 
     mode: str
     k: int
     users: np.ndarray
     msgs: np.ndarray
     direction: np.ndarray
+    kind_label: np.ndarray
+    fast_slot: np.ndarray
+    slow_slot: np.ndarray
 
 
 def _slot_rates(mode: str, cfg: NetworkConfig) -> tuple[float, ...]:
@@ -227,25 +246,27 @@ def _layout(pattern: SilencingPattern, mode: str) -> _Layout:
     if mode not in ("rx", "tx"):
         raise ValueError(f"mode must be 'rx' or 'tx', got {mode!r}")
     template = _rx_template if mode == "rx" else _tx_template
-    users, msgs = [], []
-    for m, run in itertools.groupby(pattern.subnets, key=lambda s: s.active_count):
-        firsts = np.array([s.first for s in run], dtype=np.int64)
-        u_rows, m_rows = template(m, pattern.d_max)
-        users.append(_tiled(u_rows, 4, [0], firsts))
-        msgs.append(_tiled(m_rows, 5, [1, 2, 4], firsts))
-    msgs = np.concatenate(msgs, axis=1)
-    return _Layout(mode, pattern.k, np.concatenate(users, axis=1), msgs, _directions(msgs[1], msgs[2]))
+    first = pattern.subnets.cols["first"]
+    size = pattern.subnets.cols["last_active"] - first + 1
+    bounds = [0, *(np.flatnonzero(np.diff(size)) + 1).tolist(), len(size)]  # the runs of one size
+    runs = [(template(int(size[a]), pattern.d_max), first[a:b]) for a, b in zip(bounds, bounds[1:])]
+    users = _tiled([(u_rows, firsts) for (u_rows, _), firsts in runs], _USER_CELLS)
+    msgs = _tiled([(m_rows, firsts) for (_, m_rows), firsts in runs], _MSG_CELLS)
+    kind, slot = users[1], users[2]
+    kind_label = _USER_KINDS.take(kind)
+    kind_label.flags.writeable = False
+    return _Layout(mode, pattern.k, users, msgs, _directions(msgs[1], msgs[2]), kind_label,
+                   slot[kind == _FAST], slot[kind == _SLOW])
 
 
 def _report(layout: _Layout, cfg: NetworkConfig) -> RateReport:
     """The rate report of a layout at cfg: the rates enter through a slot table lookup."""
     table = np.array(_slot_rates(layout.mode, cfg))
-    user, kind, slot, rnd = layout.users
+    user, _, slot, rnd = layout.users
     m_rnd, frm, to, m_slot, subject = layout.msgs
-    rate = table[slot]
-    avg_fast = _running_sum(rate[kind == _FAST]) / layout.k
-    avg_slow = _running_sum(rate[kind == _SLOW]) / layout.k
-    per_user = Columns(UserRate, {"user": user, "kind": _USER_KINDS[kind], "rate": rate, "decode_round": rnd})
+    avg_fast = _running_sum(table[layout.fast_slot]) / layout.k
+    avg_slow = _running_sum(table[layout.slow_slot]) / layout.k
+    per_user = Columns(UserRate, {"user": user, "kind": layout.kind_label, "rate": table[slot], "decode_round": rnd})
     conf_log = Columns(ConferenceMessage, {
         "round": m_rnd, "from_node": frm, "to_node": to, "payload_rate": table[m_slot],
         "payload_kind": np.broadcast_to(np.array(_PAYLOAD_KIND[layout.mode]), len(m_rnd)),  # read-only
@@ -336,6 +357,25 @@ def _row(*fields):
     return fields
 
 
+def _event_order(rnd: np.ndarray, user: np.ndarray, n_dec: int) -> np.ndarray:
+    """The order of events by round, then conference before decode (the first n_dec events
+    are decodes), then user, ties kept in event order: np.lexsort's, from one sort of the
+    keys packed in an int64 with the event's position last, wherever they fit in one."""
+    n = len(rnd)
+    if n and rnd.dtype == user.dtype == np.int64:
+        r0, u0 = int(rnd.min()), int(user.min())
+        span = int(user.max()) - u0 + 1
+        if ((int(rnd.max()) - r0) * 2 + 2) * span * n <= np.iinfo(np.int64).max:
+            key = (rnd - r0) * (2 * span * n)
+            key += (user - u0) * n
+            key[:n_dec] += span * n
+            key += np.arange(n)
+            key.sort()
+            key %= n
+            return key
+    return np.lexsort((user, np.arange(n) < n_dec, rnd))
+
+
 def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     """Flatten a report into (subnet, user, event_kind, round, rate_bits,
     from, to) event records: one per decode and one per conference message,
@@ -345,25 +385,28 @@ def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     """
     users, log = report.per_user.cols, report.conf_log.cols
     dec = (users["kind"] == "fast") | (users["kind"] == "slow")
-    n_dec, n_msg = int(np.count_nonzero(dec)), len(log["round"])
-    is_decode = np.repeat([1, 0], [n_dec, n_msg])
-    cells = np.concatenate([users["user"][dec], log["from_node"]])
+    n_dec = int(np.count_nonzero(dec))
+    decoded = users["user"][dec]
+    cells = np.concatenate([decoded, log["from_node"]])
     if cells.size and not 1 <= cells.min() <= cells.max() <= pattern.k:
         raise ValueError("report has cells outside the silencing pattern")
-    user = np.concatenate([users["user"][dec], log["subject"]])
+    user = np.concatenate([decoded, log["subject"]])
     rnd = np.concatenate([users["decode_round"][dec], log["round"]])
-    # one stable sort on an int64 key orders like np.lexsort((user, is_decode, rnd))
-    u0, r0 = user.min(initial=0), rnd.min(initial=0)
-    order = np.argsort(((rnd - r0) * 2 + is_decode) * (user.max(initial=0) - u0 + 1) + (user - u0), kind="stable")
-    none, decode = np.zeros(n_dec, dtype=np.int64), is_decode[order]
+    order = _event_order(rnd, user, n_dec)
+    sub = pattern.subnets.cols
+    subnet_of = np.repeat(np.arange(len(pattern.subnets)), sub["silenced_cell"] - sub["first"] + 1)  # cells 1..k
+    subnet = subnet_of[cells[order].astype(np.intp, copy=False) - 1]
+    user, rnd = user[order], rnd[order]
+    del decoded, cells, subnet_of  # freed before the columns below are built: a lower peak per command
+    rate = np.concatenate([users["rate"][dec], log["payload_rate"]])[order]
+    none = np.zeros(n_dec, dtype=np.int64)
+    frm, to = (np.concatenate([none, log[name]])[order] for name in ("from_node", "to_node"))
+    decode = order < n_dec
+    del order, none
     return Columns(_row, {
-        "subnet": np.searchsorted([s.silenced_cell for s in pattern.subnets], cells)[order],
-        "user": user[order],
-        "event_kind": np.array(["conference", "decode"])[decode],
-        "round": rnd[order],
-        "rate_bits": np.concatenate([users["rate"][dec], log["payload_rate"]])[order],
-        "from": np.ma.masked_array(np.concatenate([none, log["from_node"]])[order], decode),
-        "to": np.ma.masked_array(np.concatenate([none, log["to_node"]])[order], decode),
+        "subnet": subnet, "user": user, "event_kind": np.array(["conference", "decode"]).take(decode),
+        "round": rnd, "rate_bits": rate,
+        "from": np.ma.masked_array(frm, decode), "to": np.ma.masked_array(to, decode),
     })
 
 

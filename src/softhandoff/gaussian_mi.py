@@ -52,6 +52,14 @@ _LN2 = math.log(2.0)
 _VAR_EPS = 1e-12
 
 
+def _added_in_turn(values) -> float:
+    """values[0] + values[1] + ... added left to right: Python 3.12's sum compensates for rounding."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
     """Per-layer power fractions beta_1..beta_L, each >= 0, sum <= 1.
@@ -70,7 +78,7 @@ class PowerAllocation:
             raise ValueError("allocation needs at least one layer")
         if any(not b >= 0 for b in fr):  # catches NaN too
             raise ValueError("layer fractions must be nonnegative numbers")
-        if sum(fr) > 1 + 1e-12:
+        if _added_in_turn(fr) > 1 + 1e-12:
             raise ValueError("layer fractions must sum to at most 1")
 
     @property
@@ -116,7 +124,7 @@ def layered_covariance(alloc: PowerAllocation, cfg: NetworkConfig) -> JointGauss
         cov[i, i] = cov[L + i, L + i] = cov[i, y] = cov[y, i] = b * p
         cov[L + i, y] = cov[y, L + i] = a * b * p
     cov[z, z] = cov[z, y] = cov[y, z] = 1.0
-    cov[y, y] = sum(alloc.fractions) * p * (1 + a * a) + 1.0
+    cov[y, y] = _added_in_turn(alloc.fractions) * p * (1 + a * a) + 1.0
     return JointGaussianSpec(cov=cov, num_layers=L)
 
 
@@ -286,7 +294,7 @@ class SchemeTwoTerms:
 
     @property
     def conf_load(self) -> float:
-        return self.i_u_y + sum(self.chain)
+        return self.i_u_y + _added_in_turn(self.chain)
 
 
 #: The (j, k, m) triple of each 3-layer scheme term.  The slow terms

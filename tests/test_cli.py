@@ -624,7 +624,42 @@ class TestPathErrors:
         (tmp_path / "file").write_text("")
         code, _, err = run_cli(["region", "mux", "--out", str(tmp_path / "file" / "mux.csv")], capsys)
         assert code == 2
-        assert err.startswith("error: [Errno 20] Not a directory")
+        assert err.startswith("error: out must lie in an existing directory")
+
+    @staticmethod
+    def _refuse(*args):
+        raise AssertionError("worked before checking the output directory")
+
+    def _assert_names_out(self, code, err, out):
+        assert code == 2
+        assert err == f"error: out must lie in an existing directory, got {str(out)!r}\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("kind,work", [("inner", "inner_boundary"), ("outer", "outer_region"),
+                                           ("mux", "mux_region")])
+    def test_region_out_in_a_missing_directory_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                                        kind, work):
+        monkeypatch.setattr(cli, work, self._refuse)
+        out = tmp_path / "missing" / "x.csv"
+        self._assert_names_out(*run_cli(["region", kind, "--out", str(out)], capsys)[::2], out)
+
+    def test_simulate_out_in_a_missing_directory_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_silencing", self._refuse)
+        out = tmp_path / "missing" / "s"
+        self._assert_names_out(*run_cli(["simulate", "rx", "--k", "44000", "--dmax", "10", "--out", str(out)],
+                                        capsys)[::2], out)
+
+    @pytest.mark.parametrize("argv,work", [
+        (["region", "mux"], "mux_region"),
+        (["simulate", "tx", "--k", "12", "--dmax", "2"], "build_silencing"),
+    ], ids=["region", "simulate"])
+    def test_rerun_out_in_a_missing_directory_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                                       argv, work):
+        assert run_cli([*argv, "--out", str(tmp_path / "first")], capsys)[0] == 0
+        manifest = next(tmp_path.glob("first*.manifest.json"))
+        monkeypatch.setattr(cli, work, self._refuse)
+        out = tmp_path / "missing" / "again"
+        self._assert_names_out(*run_cli(["rerun", str(manifest), "--out", str(out)], capsys)[::2], out)
 
     def test_compare_csv_is_a_directory(self, tmp_path, capsys):
         code, _, err = run_cli(["compare", "fig2_inner", str(tmp_path)], capsys)

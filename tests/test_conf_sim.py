@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import fields, replace
@@ -21,6 +22,7 @@ from softhandoff.conf_sim import (
     run_rx_conferencing,
     run_tx_conferencing,
     RateReport,
+    Subnet,
 )
 from softhandoff.model import Columns, NetworkConfig
 from softhandoff.outer_bound import outer_constraints
@@ -79,6 +81,61 @@ class TestBuildSilencing:
         p = build_silencing(30, 2)
         for s0, s1 in zip(p.subnets, p.subnets[1:]):
             assert s1.first == s0.silenced_cell + 1
+
+
+def _ref_silencing(k, d_max, offset=0):
+    """build_silencing's silenced cells and subnets as the per-subnet loop built them:
+    a list of cells and one Subnet record per subnet."""
+    period = 2 * d_max + 2
+    silenced = list(range(offset or period, k + 1, period))
+    if silenced[-1] < k:
+        silenced.append(k)
+    firsts = [1] + [cell + 1 for cell in silenced[:-1]]
+    return frozenset(silenced), tuple(Subnet(first, cell - 1, cell) for first, cell in zip(firsts, silenced))
+
+
+def _ref_layout(subnets, d_max, mode):
+    """_layout's arrays as a groupby over Subnet records tiled them, run by run, with
+    the labels and the fast and slow slots taken from the tiled users."""
+    template = conf_sim._rx_template if mode == "rx" else conf_sim._tx_template
+    users, msgs = [], []
+    for m, run in itertools.groupby(subnets, key=lambda s: s.active_count):
+        firsts = np.array([s.first for s in run], dtype=np.int64)
+        for rows, width, cells, out in zip(template(m, d_max), (4, 5), ([0], [1, 2, 4]), (users, msgs)):
+            t = np.tile(np.array(rows, dtype=np.int64).reshape(len(rows), width).T, len(firsts))
+            t[cells] += np.repeat(firsts, len(rows))
+            out.append(t)
+    users, msgs = np.concatenate(users, axis=1), np.concatenate(msgs, axis=1)
+    kind, slot = users[1], users[2]
+    direction = 2 * np.minimum(msgs[1], msgs[2]) + (msgs[2] < msgs[1])
+    labels = np.array(["fast", "slow", "silenced", "relay"])[kind]
+    return users, msgs, direction, labels, slot[kind == 0], slot[kind == 1]
+
+
+class TestArrayPattern:
+    """build_silencing's columns and _layout's runs found by np.diff equal the Subnet
+    tuple and the groupby tiling they replaced, at every offset."""
+
+    @pytest.mark.parametrize("d_max", range(1, 13))
+    def test_matches_per_subnet_construction(self, d_max):
+        period = 2 * d_max + 2
+        trailing = set()
+        for offset in range(period):
+            # one period; whole periods after the offset; and a trailing partial subnet
+            for k in (period, offset + 3 * period, offset + 3 * period + 1 + (d_max + offset) % (period - 1)):
+                pattern = build_silencing(k, d_max, offset)
+                silenced, subnets = _ref_silencing(k, d_max, offset)
+                assert pattern.silenced == silenced
+                assert pattern.subnets == subnets and len(pattern.subnets) == len(subnets)
+                trailing.add(k not in range(offset or period, k + 1, period))
+                for mode in ("rx", "tx"):
+                    layout = conf_sim._layout(pattern, mode)
+                    got = (layout.users, layout.msgs, layout.direction, layout.kind_label, layout.fast_slot,
+                           layout.slow_slot)
+                    for g, want in zip(got, _ref_layout(subnets, d_max, mode), strict=True):
+                        assert g.dtype == want.dtype and np.array_equal(g, want)
+                    assert not layout.kind_label.flags.writeable
+        assert trailing == {True, False}
 
 
 class TestRxConferencing:
@@ -584,6 +641,19 @@ class TestEventOrder:
             rep = _report_of(users, 0.0, 0.0, msgs)
             assert list(event_log_rows(rep, pattern)) == _ref_event_rows(users, msgs, pattern)
 
+    def test_keys_too_wide_for_one_int64(self):
+        """Rounds so far apart that (round, kind, user, position) overflows an int64
+        key: the order is still np.lexsort's."""
+        rng = random.Random(6)
+        pattern = build_silencing(40, 2)
+        rounds = [0, 2**55, 2**61, 2**62 + 7]
+        users = [UserRate(c, rng.choice(["fast", "slow", "silenced"]), 0.5, rng.choice(rounds)) for c in range(1, 41)]
+        msgs = [ConferenceMessage(rng.choice(rounds), rng.randint(1, 40), rng.randint(1, 40), 2.0,
+                                  "quantization_index", rng.randint(1, 40)) for _ in range(300)]
+        rep = _report_of(users, 0.0, 0.0, msgs)
+        assert rep.conf_log.cols["round"].dtype == np.int64
+        assert list(event_log_rows(rep, pattern)) == _ref_event_rows(users, msgs, pattern)
+
 
 def _ref_csv(header, columns):
     """The writer's text with every cell formatted on its own: floats through
@@ -604,30 +674,41 @@ CSV_COLUMNS = {
     "single": [np.array([7]), np.array([1 / 3]), _masked([0], [True])],
     "masked": [np.array([4, 9, 4]), _masked([0, -2, 11], [True, False, False]), _masked([3, 0, 0], [False, True, True]),
                np.array(["decode", "conference", "decode"], dtype=object)],
+    "no unmasked int": [_masked([5, -6], [True, True]), np.array([1.5, 2.0])],
 }
 
 
-# every file of a call shares one digit table, so one window of integers per
-# call keeps it small; digit counts change at the powers of ten, and
-# +-999999 is the widest
+# each integer column draws its own window, so the columns of one call differ
+# in digit count and sign, and the one digit table of the call spans them
+# all; digit counts change at the powers of ten, and +-999999 is the widest
 INT_WINDOWS = st.tuples(st.sampled_from([0, 9, 10, 99, 100, 9_999, 10_000, 99_999, 999_999]), st.sampled_from([1, -1]),
                         st.sampled_from([0, 3, 200, 20_000]))
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
                   5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.1, -2.5, 1 / 3]
 STRINGS = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\0"), max_size=5)
+ASCII = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=5)
+NON_ASCII = st.text(st.characters(min_codepoint=128, blacklist_categories=["Cs"]), min_size=1, max_size=5)
 
 
-def _drawn_csv(data, i, window):
-    """A header and equal-length columns: cells drawn from a small pool per column,
-    masked or not, integers from the window, strings as a fixed-width or an object array."""
+def _int_pool(window):
     center, half = window[0] * window[1], window[2]
-    pools = {"int": st.integers(max(center - half, -999_999), min(center + half, 999_999)),
-             "float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), "str": STRINGS, "object": STRINGS}
+    return st.integers(max(center - half, -999_999), min(center + half, 999_999))
+
+
+def _drawn_csv(data, i):
+    """A header and equal-length columns: cells drawn from a small pool per column,
+    masked or not, integers from a window per column, strings as a fixed-width or an
+    object array.  The first file also holds two integer columns, an ASCII and a non-ASCII
+    string column."""
+    pools = {"float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), "str": STRINGS, "object": STRINGS,
+             "ascii": ASCII, "non-ascii": NON_ASCII}
     n = data.draw(st.sampled_from([0, 1, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     columns = []
-    for kind in data.draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=5)):
-        pool = data.draw(st.lists(pools[kind], min_size=1, max_size=6))
+    kinds = data.draw(st.lists(st.sampled_from(["float", "int", "object", "str"]), min_size=1, max_size=5))
+    for kind in kinds + (["int", "int", "ascii", "non-ascii"] if i == 0 else []):
+        cells = _int_pool(data.draw(INT_WINDOWS)) if kind == "int" else pools[kind]
+        pool = data.draw(st.lists(cells, min_size=1, max_size=6))
         col = np.array(pool, dtype=object if kind == "object" else None)[rng.integers(len(pool), size=n)]
         columns.append(np.ma.masked_array(col, rng.random(n) < 0.3) if data.draw(st.booleans()) else col)
     return [f"f{i}c{j}" for j in range(len(columns))], columns
@@ -640,6 +721,17 @@ class TestCsvText:
         header = [f"c{i}" for i in range(len(columns))]
         _write_csvs([(str(tmp_path / "t.csv"), header, columns)])
         assert (tmp_path / "t.csv").read_text() == _ref_csv(header, columns)
+
+    def test_each_block_gets_its_own_rows(self, tmp_path):
+        """Every kind of column over three writer blocks, no two blocks alike (the
+        periods 3 and 5 do not divide the block size), compared line by line."""
+        rows = np.arange(2 * _BLOCK_ROWS + 5)
+        assert _BLOCK_ROWS % 3 and _BLOCK_ROWS % 5
+        columns = [np.array(["a", "bc", ""])[rows % 3], np.ma.masked_array(rows - 9, rows % 5 == 0), rows / 7,
+                   np.array(["é", "x"])[rows % 3 // 2]]
+        header = [f"c{i}" for i in range(len(columns))]
+        _write_csvs([(str(tmp_path / "t.csv"), header, columns)])
+        assert (tmp_path / "t.csv").read_text().splitlines() == _ref_csv(header, columns).splitlines()
 
     def test_files_sharing_one_table_match_files_written_alone(self, tmp_path):
         files = [(str(tmp_path / f"{name}.csv"), [f"c{i}" for i in range(len(cols))], cols)
@@ -655,8 +747,7 @@ class TestCsvText:
         """Files of int, float and string columns, any of them masked, at row
         counts on either side of the writer's block size, written in one call."""
         tmp = tmp_path_factory.mktemp("csv")
-        window = data.draw(INT_WINDOWS)
-        files = [(str(tmp / f"{i}.csv"), *_drawn_csv(data, i, window)) for i in range(data.draw(st.integers(1, 2)))]
+        files = [(str(tmp / f"{i}.csv"), *_drawn_csv(data, i)) for i in range(data.draw(st.integers(1, 2)))]
         _write_csvs(files)
         for path, header, columns in files:
             with open(path, "rb") as fh:

@@ -113,6 +113,28 @@ class TestLayeredCovariance:
         np.testing.assert_allclose(emp, spec.cov, atol=0.05)
 
 
+class TestSumsAddInTurn:
+    """Float sums add left to right, one value at a time, on any Python: 3.12's
+    builtin sum compensates for rounding, which would move their low bits."""
+
+    def test_conf_load(self):
+        terms = gmi.SchemeTwoTerms(i_u_y=0.25, chain=(1e16, 1.0, -1e16), i_final=0.0, i_final_corrected=0.0)
+        assert terms.conf_load == 0.25 + 0.0  # 1e16 + 1.0 rounds to 1e16; a compensated sum gives 1.25
+
+    def test_output_variance(self):
+        fractions = (0.1, 0.2, 0.3)
+        spec = layered_covariance(PowerAllocation(fractions), CFG)
+        in_turn = 0.1 + 0.2 + 0.3
+        assert in_turn != math.fsum(fractions)
+        assert spec.cov[spec.idx_y, spec.idx_y] == in_turn * 5.0 * (1 + 0.2 * 0.2) + 1.0
+
+    def test_oversubscription_check(self):
+        # each 1e-16 is lost against 1.0, though the exact total is 1 + 2e-12
+        fractions = (1.0,) + (1e-16,) * 20_000
+        assert math.fsum(fractions) > 1 + 1e-12
+        PowerAllocation(fractions)
+
+
 class TestGaussianMI:
     def test_point_to_point_no_interference(self):
         spec = layered_covariance(PowerAllocation((1.0,)), NetworkConfig(alpha=0.0, p=5.0))
