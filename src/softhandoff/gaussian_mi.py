@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ _LN2 = math.log(2.0)
 #: Variance below which a layer counts as deterministic and is removed by
 #: dimension reduction (never regularised by noise injection).
 _VAR_EPS = 1e-12
+_SINGULAR = "singular covariance submatrix that dimension reduction cannot fix"
 
 
 def _added_in_turn(values) -> float:
@@ -130,23 +132,32 @@ def layered_covariance(alloc: PowerAllocation, cfg: NetworkConfig) -> JointGauss
 
 def _reduced_groups(spec: JointGaussianSpec, group_a, group_b, cond) -> list[list[int]]:
     """A, B and C sorted, without their deterministic (zero-variance)
-    variables; ValueError unless the three are pairwise disjoint."""
-    a, b, c = set(group_a), set(group_b), set(cond)
+    variables; ValueError unless each lists integer indices in [0, 2L+2)
+    and the three are pairwise disjoint."""
+    n = spec.cov.shape[0]
+    groups = []
+    for name, g in zip("ABC", (group_a, group_b, cond)):
+        try:
+            s = set(map(operator.index, g))
+        except TypeError:  # not integers: fail the range check
+            s = {n}
+        if not s.issubset(range(n)):
+            raise ValueError(f"group {name} must list integer indices in [0, {n}), got {g!r}")
+        groups.append(s)
+    a, b, c = groups
     if a & c or b & c or a & b:
         raise ValueError("index groups must be pairwise disjoint")
-    scale = max(1.0, float(np.max(np.diag(spec.cov))))
-    return [sorted(i for i in g if spec.cov[i, i] > _VAR_EPS * scale) for g in (a, b, c)]
+    var = spec.cov.diagonal().tolist()
+    floor = _VAR_EPS * max(1.0, *var)
+    return [sorted(i for i in g if var[i] > floor) for g in groups]
 
 
 def _logdet(cov: np.ndarray, idx: list[int]) -> float:
     if not idx:
         return 0.0
-    sub = cov[np.ix_(idx, idx)]
-    sign, val = np.linalg.slogdet(sub)
+    sign, val = np.linalg.slogdet(cov.take(idx, 0).take(idx, 1))
     if sign <= 0:
-        raise np.linalg.LinAlgError(
-            "singular covariance submatrix that dimension reduction cannot fix"
-        )
+        raise np.linalg.LinAlgError(_SINGULAR)
     return float(val)
 
 
@@ -171,13 +182,8 @@ def gaussian_mi(spec: JointGaussianSpec, group_a, group_b, cond=()) -> float:
     # of the relative Cholesky pivots, so at most the smallest, and by
     # Fischer's inequality at most that of any of the other three sets.
     if logdet_abc - np.log(cov.diagonal()[abc]).sum() <= math.log(_VAR_EPS):
-        raise np.linalg.LinAlgError("singular covariance submatrix that dimension reduction cannot fix")
-    val = (
-        _logdet(cov, a + c)
-        + _logdet(cov, b + c)
-        - _logdet(cov, c)
-        - logdet_abc
-    ) / (2 * _LN2)
+        raise np.linalg.LinAlgError(_SINGULAR)
+    val = (_logdet(cov, a + c) + _logdet(cov, b + c) - _logdet(cov, c) - logdet_abc) / (2 * _LN2)
     if val < -1e-6:
         raise ArithmeticError(f"determinant identity produced {val} < 0")
     return max(0.0, val)
@@ -191,29 +197,28 @@ def _scatter_moments(chol: np.ndarray, samples: int, rng: np.random.Generator) -
     triangular, T[i,i]^2 ~ chi2(n - i) and T[i,j] ~ N(0,1) below the diagonal.
     """
     d = chol.shape[0]
-    t = np.diag(np.sqrt(rng.chisquare(samples - np.arange(d))))
-    t[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    # scalar chisquare calls draw what one call on an array would, with less
+    # overhead; the mask r > c fills T row by row, as np.tril_indices(d, -1)
+    r = np.arange(d)
+    t = np.diag(np.sqrt([rng.chisquare(samples - i) for i in range(d)]))
+    t[r[:, None] > r] = rng.standard_normal(d * (d - 1) // 2)
     s = chol @ t
     return s @ s.T / samples
 
 
-def mc_mutual_information(
-    spec: JointGaussianSpec,
-    group_a,
-    group_b,
-    cond=(),
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> float:
+def mc_mutual_information(spec: JointGaussianSpec, group_a, group_b, cond=(), samples: int = 1_000_000,
+                          seed: int = 0) -> float:
     """Monte-Carlo estimate of I(A; B | C) in bits, the oracle for gaussian_mi.
 
     Draws the empirical second moments of `samples` Gaussian vectors with the
     spec covariance as one Wishart matrix, without the vectors, and evaluates
     h(A|C) - h(A|B,C) through Schur-complement conditional covariances of the
-    *empirical* moments.  This shares no algebra with the four-determinant
-    identity.  Deterministic for a fixed seed.  Raises LinAlgError when the
-    covariance of A, B and C is singular (e.g. a variable of A is a linear
-    function of B and C, so the true value is infinite).
+    *empirical* moments.  The moments are ordered (A, B, C), so every block is
+    a slice, and both na x na conditional covariances go to one stacked
+    slogdet.  This shares no algebra with the four-determinant identity.
+    Deterministic for a fixed seed.  Raises LinAlgError when the covariance of
+    A, B and C is singular (e.g. a variable of A is a linear function of B
+    and C, so the true value is infinite).
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
@@ -222,8 +227,7 @@ def mc_mutual_information(
         return 0.0
 
     idx = a + b + c
-    pos = {g: i for i, g in enumerate(idx)}
-    sub = spec.cov[np.ix_(idx, idx)]
+    sub = spec.cov.take(idx, 0).take(idx, 1)
     try:
         chol = np.linalg.cholesky(sub)
     except np.linalg.LinAlgError:
@@ -232,27 +236,21 @@ def mc_mutual_information(
     # variable order, leaves a pivot at rounding level; the empirical
     # conditional covariances are then singular too and the estimate would be
     # rounding noise.
-    if chol is None or np.min(np.diag(chol) ** 2 / np.diag(sub)) <= _VAR_EPS:
+    if chol is None or (chol.diagonal() ** 2 / sub.diagonal()).min() <= _VAR_EPS:
         raise np.linalg.LinAlgError("singular covariance of A, B and C: the term cannot be estimated")
 
     emp = _scatter_moments(chol, samples, np.random.default_rng(seed))
+    na, nab = len(a), len(a) + len(b)
+    top = emp[:na, :na]
 
-    ia = [pos[g] for g in a]
-    ib = [pos[g] for g in b]
-    ic = [pos[g] for g in c]
+    def given(first: int) -> np.ndarray:  # the moments of A given the variables from `first` on
+        x = emp[:na, first:]
+        return top - x @ np.linalg.solve(emp[first:, first:], x.T)
 
-    def cond_logdet(top: list[int], given: list[int]) -> float:
-        t = emp[np.ix_(top, top)]
-        if given:
-            g = emp[np.ix_(given, given)]
-            x = emp[np.ix_(top, given)]
-            t = t - x @ np.linalg.solve(g, x.T)
-        sign, val = np.linalg.slogdet(t)
-        if sign <= 0:
-            raise np.linalg.LinAlgError("empirical conditional covariance not PD")
-        return float(val)
-
-    return (cond_logdet(ia, ic) - cond_logdet(ia, ib + ic)) / (2 * _LN2)
+    sign, val = np.linalg.slogdet(np.stack((given(nab) if c else top, given(na))))
+    if (sign <= 0).any():
+        raise np.linalg.LinAlgError("empirical conditional covariance not PD")
+    return float(val[0] - val[1]) / (2 * _LN2)
 
 
 # ---------------------------------------------------------------------------

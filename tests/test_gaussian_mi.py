@@ -1,6 +1,8 @@
 import importlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,86 @@ class TestMonteCarloOracle:
         spec = layered_covariance(PowerAllocation((1.0,)), CFG)
         with pytest.raises(ValueError):
             mc_mutual_information(spec, [0], [spec.idx_y], samples=100)
+
+
+# both oracle routes, each with the sample count the tests can afford
+ORACLES = {
+    "det": gaussian_mi,
+    "mc": lambda spec, a, b, c=(): mc_mutual_information(spec, a, b, c, samples=10_000, seed=0),
+}
+
+
+class TestIndexValidation:
+    """Every index is an integer in [0, 2L+2): a negative one would alias
+    another variable through numpy's wrap-around."""
+
+    SPEC = layered_covariance(PowerAllocation((0.5, 0.5)), NetworkConfig(alpha=0.2, p=5.0, d_max=1))
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    @pytest.mark.parametrize(
+        "groups,bad",
+        [
+            (([0], [-1]), "B"),  # was exactly I(W1; Y)
+            (([-1], [5]), "A"),  # was a "singular" LinAlgError
+            (([0], [5], [-6]), "C"),
+            (([0], [6]), "B"),  # was a bare IndexError
+            (([0.0], [5]), "A"),
+            (([0], [5], [1.5]), "C"),
+            (([0], ["5"]), "B"),
+            ((0, [5]), "A"),
+        ],
+        ids=["negative", "negative-y", "negative-c", "too-large", "float", "fraction", "str", "not-a-list"],
+    )
+    def test_bad_index_names_its_group(self, oracle, groups, bad):
+        with pytest.raises(ValueError, match=rf"group {bad} must list integer indices in \[0, 6\)"):
+            ORACLES[oracle](self.SPEC, *groups)
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_numpy_integers_are_indices(self, oracle):
+        want = ORACLES[oracle](self.SPEC, [0], [5], [1])
+        assert ORACLES[oracle](self.SPEC, np.array([0]), [np.int64(5)], (np.uint8(1),)) == want
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_every_index_in_range_is_accepted(self, oracle):
+        assert ORACLES[oracle](self.SPEC, [0, 1], [5], [2]) > 0.0
+        assert ORACLES[oracle](self.SPEC, [4], [5], [3]) > 0.0
+
+
+class TestCallBudget:
+    """A term costs a fixed, small set of numpy calls: no np.ix_, four log-dets
+    at most by determinant, one Cholesky, two solves and one stacked log-det
+    by Monte Carlo."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = {}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np, "ix_")
+        for name in ("slogdet", "solve", "cholesky"):
+            counted(np.linalg, name)
+        return counts
+
+    @pytest.mark.parametrize("name", ["chain_2", "i_final", "i_u_y"])
+    def test_one_term(self, monkeypatch, name):
+        alloc = PowerAllocation((0.2, 0.3, 0.25, 0.25))
+        spec = layered_covariance(alloc, NetworkConfig(alpha=0.3, p=5.0, d_max=3))
+        groups = scheme2_term_groups(spec, 3)[name]
+        counts = self._count(monkeypatch)
+        gaussian_mi(spec, *groups)
+        assert "ix_" not in counts and 1 <= counts["slogdet"] <= 4, counts
+        counts.clear()
+        mc_mutual_information(spec, *groups, samples=10_000, seed=1)
+        assert "ix_" not in counts, counts
+        assert counts["cholesky"] == 1 and counts["solve"] <= 2 and counts["slogdet"] == 1, counts
 
 
 def _scatter_moments_by_rows(chol, samples, rng, batch=1 << 17):
@@ -509,3 +591,64 @@ class TestLayerTable:
         want = _scheme2_groups_by_hand(spec, d_max)
         assert list(scheme2_term_groups(spec, d_max).items()) == list(want.items())
         assert list(scheme2_layers(d_max)) == list(want)
+
+
+MI_REFERENCE = Path(__file__).parent / "golden" / "mi_oracle_reference.json"
+
+
+def _oracle_reference_configs():
+    """Criterion 01's 20 configs, drawn as it draws them (L = 2..5, alpha of
+    both signs, P from 0.1 to 100), then two allocations with a zero-power
+    layer, whose terms lose variables to dimension reduction."""
+    rng = np.random.default_rng(20260808)
+    for _ in range(20):
+        L = int(rng.integers(2, 6))
+        p = float(10 ** rng.uniform(math.log10(0.1), 2.0))
+        a = float(rng.uniform(0.05, 0.95)) * (1.0 if rng.random() < 0.5 else -1.0)
+        yield PowerAllocation(tuple(rng.dirichlet(np.ones(L)))), NetworkConfig(alpha=a, p=p, d_max=L - 1, pi=1.0)
+    yield PowerAllocation((0.0, 0.55, 0.45)), NetworkConfig(alpha=-0.4, p=20.0, d_max=2, pi=1.0)
+    yield PowerAllocation((0.3, 0.0, 0.2, 0.5)), NetworkConfig(alpha=0.7, p=0.5, d_max=3, pi=1.0)
+
+
+def _oracle_reference():
+    """Every scheme-1 and scheme-2 term of each config, by determinant and by
+    1e6-sample Monte Carlo (seeds 0, 1, ... in term order, as criterion 01
+    seeds them), as float.hex strings."""
+    rows, seed = [], 0
+    for alloc, cfg in _oracle_reference_configs():
+        spec = layered_covariance(alloc, cfg)
+        groups = dict(scheme2_term_groups(spec, cfg.d_max))
+        if alloc.num_layers == 3:
+            groups.update(scheme1_term_groups(spec))
+        terms = {}
+        for name, g in groups.items():
+            det = gaussian_mi(spec, *g)
+            mc = mc_mutual_information(spec, *g, samples=1_000_000, seed=seed)
+            terms[name] = [det.hex(), mc.hex()]
+            seed += 1
+        rows.append({"alpha": cfg.alpha, "p": cfg.p, "fractions": list(alloc.fractions), "terms": terms})
+    return rows
+
+
+class TestOracleReference:
+    def test_every_term_bit_for_bit(self):
+        """Both oracle routes reproduce the stored bits of every term (rewrite
+        the file with `PYTHONPATH=src python tests/test_gaussian_mi.py`)."""
+        assert _oracle_reference() == json.loads(MI_REFERENCE.read_text())
+
+    def test_reference_covers_the_edge_cases(self):
+        configs = list(_oracle_reference_configs())
+        assert {alloc.num_layers for alloc, _ in configs} == {2, 3, 4, 5}
+        assert min(cfg.alpha for _, cfg in configs) < 0 < max(cfg.alpha for _, cfg in configs)
+        assert any(0.0 in alloc.fractions for alloc, _ in configs)
+        # i_u_y conditions on nothing; chain_1 with a zero first layer loses
+        # all of C and the neighbour's first layer
+        spec = layered_covariance(*configs[-2])
+        groups = scheme2_term_groups(spec, 2)
+        assert groups["i_u_y"][2] == []
+        assert gmi._reduced_groups(spec, *groups["chain_1"]) == [[1], [spec.idx_y], []]
+
+
+if __name__ == "__main__":  # one config per line
+    rows = [json.dumps(r) for r in _oracle_reference()]
+    MI_REFERENCE.write_text("[\n" + ",\n".join(rows) + "\n]\n")
