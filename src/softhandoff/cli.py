@@ -4,6 +4,15 @@ Every output CSV uses 12-significant-digit floats, '.' decimals and plain
 newlines, and is accompanied by a JSON manifest that reproduces it byte for
 byte via the rerun subcommand.  Exit codes: 0 success, 2 validation error,
 3 internal error.
+
+An output that exists as a regular file is written over in place and then cut
+to its new length, never truncated to zero first: truncating a written file
+waits for its writeback and frees its blocks, which the rewrite would allocate
+again.  As with truncation, the file keeps its inode, mode and hard links, a
+symlink is written through, and an output that may not be written fails to
+open.  An error mid-write leaves just the new bytes written so far; a process
+killed mid-write (nothing is fsynced) can leave the new head followed by the
+old tail, which a rerun of the manifest replaces.
 """
 from __future__ import annotations
 
@@ -11,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from collections.abc import Callable
@@ -122,6 +132,17 @@ def _cells(col: np.ndarray, table: np.ndarray, lo: int,
     return text.dtype, cells
 
 
+def _overwrite(path: str, flags: int) -> int:
+    """The opener of every output: open()'s flags without O_TRUNC, and its mode 0o666 & ~umask."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _cut(fh) -> None:
+    """Cut a file opened through _overwrite after the bytes written; a device or a FIFO has no length."""
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.truncate()
+
+
 def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
     """Write each (path, header, equal-length columns) as a CSV, one row per line.
 
@@ -146,13 +167,16 @@ def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
                                               for name, t in (("c", cell), ("s", np.uint8))])
         for j in range(len(cells)):
             buf[f"s{j}"] = 10 if j == len(cells) - 1 else 44  # a newline ends a row, a ',' any other cell
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode())
-            for i in range(0, n, _BLOCK_ROWS):
-                block = buf[:n - i]
-                for j, (_, cells_of) in enumerate(cells):
-                    block[f"c{j}"] = cells_of(slice(i, i + len(block)))
-                fh.write(block.tobytes().translate(None, b"\0"))
+        with open(path, "wb", opener=_overwrite) as fh:
+            try:
+                fh.write((",".join(header) + "\n").encode())
+                for i in range(0, n, _BLOCK_ROWS):
+                    block = buf[:n - i]
+                    for j, (_, cells_of) in enumerate(cells):
+                        block[f"c{j}"] = cells_of(slice(i, i + len(block)))
+                    fh.write(block.tobytes().translate(None, b"\0"))
+            finally:
+                _cut(fh)
 
 
 def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]], source: str) -> None:
@@ -169,9 +193,12 @@ def _write_manifest(command: str, params: dict, outputs: list[str]) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "outputs": [os.path.basename(o) for o in outputs],
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w", newline="\n", opener=_overwrite) as fh:
+        try:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        finally:
+            _cut(fh)
 
 
 def _parse_k(text: str) -> float:

@@ -218,10 +218,15 @@ def mc_mutual_information(spec: JointGaussianSpec, group_a, group_b, cond=(), sa
     slogdet.  This shares no algebra with the four-determinant identity.
     Deterministic for a fixed seed.  Raises LinAlgError when the covariance of
     A, B and C is singular (e.g. a variable of A is a linear function of B
-    and C, so the true value is infinite).
+    and C, so the true value is infinite), and ValueError unless samples is
+    an integer of at least 10,000.
     """
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples")
+    try:
+        n = operator.index(samples)
+    except TypeError:  # not an integer: fail the count check
+        n = 0
+    if n < 10_000:  # True is 1
+        raise ValueError(f"samples must be an integer of at least 10000, got {samples!r}")
     a, b, c = _reduced_groups(spec, group_a, group_b, cond)
     if not a or not b:
         return 0.0
@@ -239,7 +244,7 @@ def mc_mutual_information(spec: JointGaussianSpec, group_a, group_b, cond=(), sa
     if chol is None or (chol.diagonal() ** 2 / sub.diagonal()).min() <= _VAR_EPS:
         raise np.linalg.LinAlgError("singular covariance of A, B and C: the term cannot be estimated")
 
-    emp = _scatter_moments(chol, samples, np.random.default_rng(seed))
+    emp = _scatter_moments(chol, n, np.random.default_rng(seed))
     na, nab = len(a), len(a) + len(b)
     top = emp[:na, :na]
 

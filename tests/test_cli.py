@@ -1,9 +1,14 @@
 import contextlib
+import errno
 import io
 import json
+import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -670,6 +675,127 @@ class TestPathErrors:
         code, _, err = run_cli(["rerun", str(tmp_path)], capsys)
         assert code == 2
         assert err.startswith("error: [Errno 21] Is a directory")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+FIG2_OUTER = ["region", "outer", "--k", "inf", "--p", "5", "--alpha", "0.2", "--pi", "0.346"]  # outer_k_inf_p5.csv
+
+
+class TestOutputReplacement:
+    """An existing output is written over in place and cut to its new length afterwards
+    (cli._overwrite opens without O_TRUNC, cli._cut cuts a regular file), with the outcomes
+    that truncating it on open gave."""
+
+    @staticmethod
+    def _outer(out: Path, capsys) -> None:
+        assert run_cli([*FIG2_OUTER, "--out", str(out)], capsys)[0] == 0
+
+    def test_error_mid_write_leaves_only_the_new_bytes_written(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "fig3.csv"
+        out.write_bytes(b"old bytes\n" * 100_000)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
+        cells = cli._cells
+        columns = []
+
+        def first_column_fails_in_second_block(col, *args):
+            cell, cells_of = cells(col, *args)
+            columns.append(col)
+            if len(columns) > 1:
+                return cell, cells_of
+
+            def failing(rows):
+                if rows.start >= cli._BLOCK_ROWS:
+                    raise RuntimeError("no cells for the second block")
+                return cells_of(rows)
+            return cell, failing
+
+        monkeypatch.setattr(cli, "_cells", first_column_fails_in_second_block)
+        code, _, err = run_cli(["region", "inner", "--scheme", "2", "--p", "5", "--alpha", "0.2", "--pi", "2",
+                                "--grid", "64", "--dmax", "10", "--out", str(out)], capsys)
+        assert (code, err) == (3, "internal error: no cells for the second block\n")
+        golden = (GOLDEN / "fig3_scheme2_dmax10.csv").read_bytes()
+        assert out.read_bytes() == b"".join(golden.splitlines(keepends=True)[:9])  # the header and one block
+
+    def test_read_only_output_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "outer.csv"
+        out.write_bytes(b"old\n")
+        out.chmod(0o444)
+        if os.geteuid() == 0:  # root may write it: refuse the open as the kernel does for any other user
+            os_open = os.open
+
+            def refuse_writes_to_out(path, flags, *args, **kwargs):
+                if path == str(out) and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return os_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refuse_writes_to_out)
+        code, _, err = run_cli([*FIG2_OUTER, "--out", str(out)], capsys)
+        assert (code, err) == (2, f"error: [Errno 13] Permission denied: {str(out)!r}\n")
+        assert out.read_bytes() == b"old\n"
+
+    def test_outputs_open_without_o_trunc(self, tmp_path, capsys, monkeypatch):
+        os_open, opened = os.open, {}
+
+        def recording(path, flags, *args, **kwargs):
+            opened[os.path.basename(path)] = flags
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert run_cli(["simulate", "rx", "--k", "12", "--dmax", "2", "--out", str(tmp_path / "s")], capsys)[0] == 0
+        assert sorted(opened) == ["s_convergence.csv", "s_events.csv", "s_rates.csv", "s_rates.csv.manifest.json"]
+        assert all(flags & os.O_CREAT and flags & os.O_WRONLY and not flags & os.O_TRUNC for flags in opened.values())
+
+    def test_symlinked_out_is_written_through(self, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old bytes\n" * 100_000)
+        link = tmp_path / "outer.csv"
+        link.symlink_to(target)
+        self._outer(link, capsys)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == (GOLDEN / "outer_k_inf_p5.csv").read_bytes()
+
+    def test_existing_output_keeps_inode_mode_and_hard_links(self, tmp_path, capsys):
+        out = tmp_path / "outer.csv"
+        out.write_bytes(b"old bytes\n" * 100_000)
+        out.chmod(0o604)
+        twin = tmp_path / "twin.csv"
+        os.link(out, twin)
+        before = out.stat()
+        self._outer(out, capsys)
+        after = out.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode), after.st_nlink) == (before.st_ino, 0o604, 2)
+        assert twin.read_bytes() == (GOLDEN / "outer_k_inf_p5.csv").read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_first_write_mode_is_0o666_less_the_umask(self, tmp_path, capsys, umask):
+        old = os.umask(umask)
+        try:
+            self._outer(tmp_path / "outer.csv", capsys)
+        finally:
+            os.umask(old)
+        for name in ("outer.csv", "outer.csv.manifest.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
+
+    @pytest.mark.parametrize("mode,text", [("wb", b"x,y\n"), ("w", "x,y\n")])
+    def test_helpers_write_to_dev_null(self, mode, text):
+        with open(os.devnull, mode, opener=cli._overwrite) as fh:
+            fh.write(text)
+            cli._cut(fh)  # a character device has no length to cut
+        cli._write_csvs([(os.devnull, ["n"], [np.arange(3)])])
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_fifo_output_gets_every_byte(self, tmp_path):
+        columns = [np.arange(20_000), np.linspace(0.0, 1.0, 20_000)]  # three blocks of rows
+        cli._write_csvs([(str(tmp_path / "file.csv"), ["n", "x"], columns)])
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        cli._write_csvs([(str(fifo), ["n", "x"], columns)])
+        reader.join(30)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "file.csv").read_bytes()]
 
 
 class _Recording(dict):

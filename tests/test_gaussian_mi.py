@@ -217,6 +217,20 @@ class TestMonteCarloOracle:
         with pytest.raises(ValueError):
             mc_mutual_information(spec, [0], [spec.idx_y], samples=100)
 
+    # 50_000.5 ran chi-square draws of non-integer degrees, and inf gave nan
+    @pytest.mark.parametrize("samples", [50_000.5, float("inf"), float("nan"), "1e6", True],
+                             ids=["fraction", "inf", "nan", "string", "bool"])
+    def test_rejects_non_integer_sample_count(self, samples):
+        spec = layered_covariance(PowerAllocation((1.0,)), CFG)
+        with pytest.raises(ValueError, match=r"^samples must be an integer of at least 10000, got "):
+            mc_mutual_information(spec, [0], [spec.idx_y], samples=samples)
+
+    def test_numpy_integer_sample_count(self):
+        spec = layered_covariance(PowerAllocation((0.6, 0.4)), CFG)
+        args = (spec, [0], [spec.idx_y], [1])
+        assert (mc_mutual_information(*args, samples=np.int64(10**6), seed=3)
+                == mc_mutual_information(*args, samples=10**6, seed=3))
+
 
 # both oracle routes, each with the sample count the tests can afford
 ORACLES = {

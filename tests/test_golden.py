@@ -121,3 +121,58 @@ def test_compare_stdout_matches_golden(name, capsys):
     label, csv = COMPARES[name]
     assert main(["compare", label, str(GOLDEN / csv)]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+# Outputs are written over the old file in place and cut to length, not truncated first.
+JUNK = (b"9999.99999999,junk\n" * (1 << 16))[:1 << 20]  # 1 MB, longer than every output below
+OVERWRITTEN = ["fig3_scheme2_dmax10.csv", "outer_k_inf_p5.csv", "simulate_rx_k220_dmax10", "simulate_tx_k220_dmax10"]
+
+
+def _output_paths(out: Path) -> list[Path]:
+    """The CSVs a `region` or `simulate` --out value names, then their manifest."""
+    csvs = [out] if out.suffix == ".csv" else [out.with_name(f"{out.name}_{s}.csv")
+                                                  for s in ("rates", "events", "convergence")]
+    return [*csvs, csvs[0].with_name(csvs[0].name + ".manifest.json")]
+
+
+def _assert_golden(paths: list[Path]) -> None:
+    *csvs, manifest = paths
+    for csv in csvs:
+        assert csv.read_bytes() == (GOLDEN / csv.name).read_bytes(), csv.name
+    assert json.loads(manifest.read_text())["outputs"] == [csv.name for csv in csvs]  # no old tail
+
+
+@pytest.mark.parametrize("name", OVERWRITTEN)
+def test_overwrite_of_longer_files_matches_golden(name, tmp_path, capsys):
+    paths = _output_paths(tmp_path / name)
+    for path in paths:
+        path.write_bytes(JUNK)
+    assert main([*CASES[name], "--out", str(tmp_path / name)]) == 0
+    assert [Path(line) for line in capsys.readouterr().out.splitlines()] == paths[:-1]
+    _assert_golden(paths)
+
+
+def test_rerun_over_longer_files_matches_golden(tmp_path, capsys):
+    name = "simulate_rx_k220_dmax10"
+    first = tmp_path / "first" / name
+    first.parent.mkdir()
+    assert main([*CASES[name], "--out", str(first)]) == 0
+    manifest = _output_paths(first)[-1]
+    again = _output_paths(tmp_path / name)
+    for path in again:
+        path.write_bytes(JUNK)
+    assert main(["rerun", str(manifest), "--out", str(tmp_path / name)]) == 0
+    _assert_golden(again)
+    for path in _output_paths(first)[:-1]:  # in place: the manifest is the rerun's input
+        path.write_bytes(JUNK)
+    assert main(["rerun", str(manifest)]) == 0
+    _assert_golden(_output_paths(first))
+    capsys.readouterr()
+
+
+def test_same_command_twice_matches_golden(tmp_path, capsys):
+    name = "simulate_tx_k220_dmax10"
+    for _ in range(2):
+        assert main([*CASES[name], "--out", str(tmp_path / name)]) == 0
+        _assert_golden(_output_paths(tmp_path / name))
+    capsys.readouterr()
