@@ -7,12 +7,13 @@ byte via the rerun subcommand.  Exit codes: 0 success, 2 validation error,
 
 An output that exists as a regular file is written over in place and then cut
 to its new length, never truncated to zero first: truncating a written file
-waits for its writeback and frees its blocks, which the rewrite would allocate
-again.  As with truncation, the file keeps its inode, mode and hard links, a
-symlink is written through, and an output that may not be written fails to
-open.  An error mid-write leaves just the new bytes written so far; a process
-killed mid-write (nothing is fsynced) can leave the new head followed by the
-old tail, which a rerun of the manifest replaces.
+frees its blocks and drops its cached pages, which the rewrite allocates again.
+As with truncation, the file keeps its inode, mode and hard links, a symlink is
+written through, and an output that may not be written fails to open.  The cut
+falls after the bytes the OS has received, so an error mid-write, in the last
+flush too, leaves just the new bytes written so far; a process killed mid-write
+(nothing is fsynced) can leave the new head followed by the old tail, which a
+rerun of the manifest replaces.
 """
 from __future__ import annotations
 
@@ -138,9 +139,13 @@ def _overwrite(path: str, flags: int) -> int:
 
 
 def _cut(fh) -> None:
-    """Cut a file opened through _overwrite after the bytes written; a device or a FIFO has no length."""
-    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        fh.truncate()
+    """Cut a file opened through _overwrite after the bytes the OS has received; a device or a FIFO has no length.
+
+    Bytes fh still buffers, after an error, go after the cut when it closes."""
+    fd = fh.fileno()
+    st = os.fstat(fd)
+    if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+        os.ftruncate(fd, end)
 
 
 def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
@@ -175,6 +180,7 @@ def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
                     for j, (_, cells_of) in enumerate(cells):
                         block[f"c{j}"] = cells_of(slice(i, i + len(block)))
                     fh.write(block.tobytes().translate(None, b"\0"))
+                fh.flush()
             finally:
                 _cut(fh)
 
@@ -197,6 +203,7 @@ def _write_manifest(command: str, params: dict, outputs: list[str]) -> None:
         try:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+            fh.flush()
         finally:
             _cut(fh)
 

@@ -716,6 +716,33 @@ class TestOutputReplacement:
         golden = (GOLDEN / "fig3_scheme2_dmax10.csv").read_bytes()
         assert out.read_bytes() == b"".join(golden.splitlines(keepends=True)[:9])  # the header and one block
 
+    def test_failing_flush_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        columns = [np.arange(8_300), np.linspace(0.0, 1.0, 8_300)]  # a full block, then 108 rows left buffered
+        cli._write_csvs([(str(tmp_path / "whole.csv"), ["n", "x"], columns)])
+        whole = (tmp_path / "whole.csv").read_bytes()
+        first_block = len(b"".join(whole.splitlines(keepends=True)[:1 + cli._BLOCK_ROWS]))
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old bytes\n" * 100_000)
+        real_open = open
+
+        def open_on_a_disk_that_fills(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            raw_write, written = fh.raw.write, [0]
+
+            def write(data):
+                if written[0] >= first_block:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                n = raw_write(data)
+                written[0] += n
+                return n
+            fh.raw.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", open_on_a_disk_that_fills, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            cli._write_csvs([(str(out), ["n", "x"], columns)])
+        assert out.read_bytes() == whole[:first_block]  # the last rows failed to flush: no old tail after them
+
     def test_read_only_output_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "outer.csv"
         out.write_bytes(b"old\n")
