@@ -2,8 +2,8 @@
 
 Every output CSV uses 12-significant-digit floats, '.' decimals and plain
 newlines, and is accompanied by a JSON manifest that reproduces it byte for
-byte via the rerun subcommand.  Exit codes: 0 success, 2 validation error,
-3 internal error.
+byte via the rerun subcommand.  Exit codes: 0 success, 2 validation error or
+a path that cannot be read or written, 3 internal error.
 
 An output that exists as a regular file is written over in place and then cut
 to its new length, never truncated to zero first: truncating a written file
@@ -18,6 +18,7 @@ rerun of the manifest replaces.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -148,6 +149,24 @@ def _cut(fh) -> None:
         os.ftruncate(fd, end)
 
 
+@contextlib.contextmanager
+def _output(path: str, mode: str, **kwargs):
+    """The file object of an output, opened through _overwrite, flushed and then cut by _cut.
+
+    An OSError while writing it names path, as one from opening it does."""
+    try:
+        with open(path, mode, opener=_overwrite, **kwargs) as fh:
+            try:
+                yield fh
+                fh.flush()
+            finally:
+                _cut(fh)
+    except OSError as err:
+        if err.filename is None:
+            err.filename = path
+        raise
+
+
 def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
     """Write each (path, header, equal-length columns) as a CSV, one row per line.
 
@@ -172,17 +191,13 @@ def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
                                               for name, t in (("c", cell), ("s", np.uint8))])
         for j in range(len(cells)):
             buf[f"s{j}"] = 10 if j == len(cells) - 1 else 44  # a newline ends a row, a ',' any other cell
-        with open(path, "wb", opener=_overwrite) as fh:
-            try:
-                fh.write((",".join(header) + "\n").encode())
-                for i in range(0, n, _BLOCK_ROWS):
-                    block = buf[:n - i]
-                    for j, (_, cells_of) in enumerate(cells):
-                        block[f"c{j}"] = cells_of(slice(i, i + len(block)))
-                    fh.write(block.tobytes().translate(None, b"\0"))
-                fh.flush()
-            finally:
-                _cut(fh)
+        with _output(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for i in range(0, n, _BLOCK_ROWS):
+                block = buf[:n - i]
+                for j, (_, cells_of) in enumerate(cells):
+                    block[f"c{j}"] = cells_of(slice(i, i + len(block)))
+                fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]], source: str) -> None:
@@ -199,13 +214,9 @@ def _write_manifest(command: str, params: dict, outputs: list[str]) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "outputs": [os.path.basename(o) for o in outputs],
     }
-    with open(path, "w", newline="\n", opener=_overwrite) as fh:
-        try:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-        finally:
-            _cut(fh)
+    with _output(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_k(text: str) -> float:
@@ -425,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         if command == "simulate":
             params["p_ladder"] = _parse_ladder(params["p_ladder"].split(","))
         return _dispatch(command, params, sys.stdout)
-    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as err:
+    except (ValueError, OSError) as err:  # an OSError of an input or an output names its path
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # pragma: no cover - defensive

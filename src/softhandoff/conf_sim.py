@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Columns, MuxPair, NetworkConfig, _check_d_max, validate_config
+from .model import Columns, MuxPair, NetworkConfig, Record, _check_d_max, validate_config
 
 __all__ = [
     "Subnet",
@@ -77,8 +76,7 @@ _MAX_K = 200_000  # a run holds about 1 KB per cell: this caps one near 200 MB
 _USER_CELLS, _MSG_CELLS = np.array([1, 0, 0, 0]), np.array([0, 1, 1, 0, 1])  # the template fields that are cells
 
 
-@dataclass(frozen=True)
-class Subnet:
+class Subnet(Record):
     """Cells first..silenced_cell, of which first..last_active transmit."""
 
     first: int
@@ -90,8 +88,7 @@ class Subnet:
         return self.last_active - self.first + 1
 
 
-@dataclass(frozen=True)
-class SilencingPattern:
+class SilencingPattern(Record):
     """The silenced cells of k, and the subnets they end as Columns of Subnet records
     (first, last_active, silenced_cell), in cell order."""
 
@@ -101,8 +98,7 @@ class SilencingPattern:
     subnets: Columns
 
 
-@dataclass(frozen=True)
-class ConferenceMessage:
+class ConferenceMessage(Record):
     round: int
     from_node: int
     to_node: int
@@ -111,16 +107,14 @@ class ConferenceMessage:
     subject: int       # the user whose message content is carried
 
 
-@dataclass(frozen=True)
-class UserRate:
+class UserRate(Record):
     user: int
     kind: str  # fast | slow | silenced | relay
     rate: float
     decode_round: int
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(Record):
     """Per-user rates in user order, their per-cell averages, and the conference log,
     as Columns of UserRate and ConferenceMessage records."""
 
@@ -212,8 +206,7 @@ def _running_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
+class _Layout(Record, eq=False):
     """A mode's run on a pattern at any power: the users' (cell, kind, rate slot, round)
     arrays in cell order, the messages' (round, from, to, rate slot, subject) arrays subnet
     by subnet, each message's link-direction index (see _directions), the users' kind labels
@@ -410,8 +403,7 @@ def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     })
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(Record):
     p: float
     s_fast_est: float
     s_slow_est: float
@@ -455,7 +447,7 @@ def _convergence(layout: _Layout, cfg_base: NetworkConfig,
     rows: list[ConvergenceRow] = []
     prev_fast = prev_slow = prev_norm = 0.0
     for p in p_ladder:
-        rep = _report(layout, validate_config(replace(cfg_base, p=float(p))))
+        rep = _report(layout, validate_config(cfg_base.replace(p=float(p))))
         norm = 0.5 * math.log2(1 + p)
         max_pl, avg_pl = _link_loads(layout.direction, rep.conf_log.cols["payload_rate"], layout.k,
                                      0.5 * math.log2(p))

@@ -24,11 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkConfig
+from .model import NetworkConfig, Record
 
 __all__ = [
     "PowerAllocation",
@@ -62,8 +61,7 @@ def _added_in_turn(values) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
+class PowerAllocation(Record):
     """Per-layer power fractions beta_1..beta_L, each >= 0, sum <= 1.
 
     Layer i carries independent Gaussian power beta_i * P; the depth-j
@@ -92,8 +90,7 @@ class PowerAllocation:
         return tuple(itertools.accumulate(self.fractions, initial=0.0))[1:]
 
 
-@dataclass(frozen=True, eq=False)
-class JointGaussianSpec:
+class JointGaussianSpec(Record, eq=False):
     """Covariance of [own layers, neighbour layers, Z, Y]."""
 
     cov: np.ndarray
@@ -262,8 +259,7 @@ def mc_mutual_information(spec: JointGaussianSpec, group_a, group_b, cond=(), sa
 # Rate terms of the two superposition schemes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SchemeOneTerms:
+class SchemeOneTerms(Record):
     """MI values for the 3-layer scheme.
 
     i_x_slow_given_u1 is the slow-rate term exactly as the analysis prints it
@@ -278,8 +274,7 @@ class SchemeOneTerms:
     i_x_slow_given_u2: float
 
 
-@dataclass(frozen=True)
-class SchemeTwoTerms:
+class SchemeTwoTerms(Record):
     """MI values for the (d_max+1)-layer scheme: first-layer rate, the
     per-round chain terms, and the final term.
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian_mi import SCHEME1_LAYERS, PowerAllocation, cf_term, scheme1_terms, scheme2_terms
-from .model import Columns, NetworkConfig, Region, validate_config
+from .model import Columns, NetworkConfig, Record, Region, validate_config
 
 __all__ = ["SchemeOneEvaluation", "SchemeTwoEvaluation", "BoundaryWitness", "BoundaryPoint", "eval_scheme1",
            "eval_scheme2", "inner_boundary", "inner_region", "best_slow_rate_scheme2"]
@@ -40,15 +39,13 @@ _MAX_GRID = 100_000
 _MAX_CELLS = 2_000_000
 
 
-@dataclass(frozen=True)
-class SchemeOneEvaluation:
+class SchemeOneEvaluation(Record):
     alloc: PowerAllocation
     r_fast_cap: float
     r_sum_cap: float
 
 
-@dataclass(frozen=True)
-class SchemeTwoEvaluation:
+class SchemeTwoEvaluation(Record):
     alloc: PowerAllocation
     r_fast_cap: float
     r_sum_cap: float
@@ -159,8 +156,7 @@ def _u0(xs: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
     return np.where(1 - u0 > 1 + 1e-9, np.where(xs == 0, 1.0, np.nan), np.clip(u0, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class BoundaryWitness:
+class BoundaryWitness(Record):
     """One time-shared component of a boundary point."""
 
     weight: float
@@ -170,8 +166,7 @@ class BoundaryWitness:
     y: float
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(Record):
     x: float
     y: float
     components: tuple[BoundaryWitness, ...]

@@ -1,5 +1,5 @@
-"""Core parameter types, the prelog-pair type, lazy record columns, and 2-D
-convex-region geometry.
+"""The record base, core parameter types, the prelog-pair type, lazy record
+columns, and 2-D convex-region geometry.
 
 Everything downstream (bounds, multiplexing-gain polygons, simulators) shares
 the types in this module.  All rates are in bits per channel use; every log
@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ASYMPTOTIC_K",
+    "Record",
     "NetworkConfig",
     "MuxPair",
     "Region",
@@ -32,13 +32,89 @@ __all__ = [
 #: Distinguished user count for the large-network limit.
 ASYMPTOTIC_K = math.inf
 
-#: Absolute tolerance for merging polygon vertices.  All vertices in scope are
-#: rationals or logs of rationals, so double precision leaves lots of margin.
+#: Tolerance for merging polygon vertices, absolute up to 1 and relative to
+#: the caps above it where _two_cut_polygon merges a crossing.  All vertices in
+#: scope are rationals or logs of rationals, so double precision leaves lots
+#: of margin.
 VERTEX_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields as annotations, in order, and gives trailing
+    fields defaults by assigning them in the class body.  A record is built
+    from positional or keyword values, checked by the class's __post_init__,
+    refuses assignment and deletion, prints as Name(field=value, ...) and
+    compares and hashes field-wise, only against its own class; a subclass
+    declared with eq=False compares by identity instead.  The field names and
+    defaults are read once, when the class is made: every method is shared.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _field_set: frozenset[str] = frozenset()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set = frozenset(cls._fields)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        given = dict(zip(cls._fields, args), **kwargs)
+        values = {**cls._defaults, **given}
+        if len(given) != len(args) + len(kwargs) or values.keys() != cls._field_set:
+            raise TypeError(cls._call_error(args, kwargs))
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    @classmethod
+    def _call_error(cls, args: tuple, kwargs: dict) -> str:
+        """What is wrong with a call that names too many, unknown, doubled or too few fields."""
+        name, positional = cls.__qualname__, cls._fields[:len(args)]
+        if len(args) > len(cls._fields):
+            return f"{name}() takes {len(cls._fields)} positional arguments but {len(args)} were given"
+        for key in kwargs:
+            if key not in cls._field_set:
+                return f"{name}() got an unexpected keyword argument {key!r}"
+            if key in positional:
+                return f"{name}() got multiple values for argument {key!r}"
+        missing = [f for f in cls._fields if f not in positional and f not in kwargs and f not in cls._defaults]
+        return f"{name}() missing required arguments: {', '.join(map(repr, missing))}"
+
+    def __post_init__(self) -> None:
+        """Check the fields; a record with invariants overrides this."""
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def replace(self, **changes) -> Record:
+        """A new record of this class with the given fields changed, checked as any new record is."""
+        return type(self)(**dict(zip(self._fields, self._astuple()), **changes))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self._astuple()))})"
+
+
+class NetworkConfig(Record):
     """Physical and protocol parameters of the linear handoff network.
 
     Attributes
@@ -105,8 +181,7 @@ def validate_config(cfg: NetworkConfig) -> NetworkConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class MuxPair:
+class MuxPair(Record):
     """A (fast, slow) multiplexing-gain pair, dimensionless prelogs in [0, 1]."""
 
     s_fast: float
@@ -117,8 +192,7 @@ class MuxPair:
             raise ValueError("prelogs must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """A 2-D rate or prelog region.
 
     kind "polygon": closed convex polygon, vertices counterclockwise starting
@@ -185,14 +259,15 @@ def _two_cut_polygon(s, w) -> Region:
 
     w >= 2s gives the sum-only triangle, w <= s the weighted-only one, and
     in between the cuts cross at the vertex (w - s, 2s - w); a crossing
-    within VERTEX_TOL of an axis merges into the intercept there.  Only +,
-    -, * and / touch s and w, so Fractions give exact vertices.  A cap at or
-    below VERTEX_TOL leaves the origin alone (degenerate).
+    within VERTEX_TOL * max(1, s, w) of an axis merges into the intercept
+    there, so that its printed x or y never repeats the intercept's.  Only
+    +, -, * and / touch s and w, so Fractions give exact vertices.  A cap at
+    or below VERTEX_TOL leaves the origin alone (degenerate).
     """
     if min(s, w) <= VERTEX_TOL:
         return Region(vertices=((0.0, 0.0),), degenerate=True)
     corner = (w - s, 2 * s - w)
-    inner = (corner,) if min(corner) > VERTEX_TOL else ()
+    inner = (corner,) if min(corner) > VERTEX_TOL * max(1, s, w) else ()
     verts = ((0, 0), (min(s, w / 2), 0), *inner, (0, min(s, w)))
     return Region(vertices=tuple((float(x), float(y)) for x, y in verts))
 

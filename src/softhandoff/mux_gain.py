@@ -13,18 +13,16 @@ like (1/22, 20/22) hold to machine precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import MuxPair, Region, _check_d_max, _check_real, _two_cut_polygon
+from .model import MuxPair, Record, Region, _check_d_max, _check_real, _two_cut_polygon
 
 __all__ = ["MuxRegionSpec", "mux_region", "corner_points", "timeshare_point", "mu_max"]
 
 _MODES = ("rx_bidirectional", "rx_unidirectional", "tx_conferencing")
 
 
-@dataclass(frozen=True)
-class MuxRegionSpec:
+class MuxRegionSpec(Record):
     """Which conferencing mode, at which prelog and round budget."""
 
     mode: str

@@ -7,11 +7,11 @@ whose K -> infinity limits are hard-coded exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import (
     ASYMPTOTIC_K,
     NetworkConfig,
+    Record,
     Region,
     _two_cut_polygon,
     validate_config,
@@ -20,8 +20,7 @@ from .model import (
 __all__ = ["OuterBoundValues", "outer_constraints", "outer_region"]
 
 
-@dataclass(frozen=True)
-class OuterBoundValues:
+class OuterBoundValues(Record):
     """Right-hand sides of the two outer half-planes, in bits."""
 
     sum_cap: float        # bound on R_fast + R_slow

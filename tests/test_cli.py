@@ -760,6 +760,28 @@ class TestOutputReplacement:
         assert (code, err) == (2, f"error: [Errno 13] Permission denied: {str(out)!r}\n")
         assert out.read_bytes() == b"old\n"
 
+    @pytest.mark.parametrize("full", ["outer.csv", "outer.csv.manifest.json"])
+    def test_full_disk_exits_2_naming_the_output(self, tmp_path, capsys, monkeypatch, full):
+        real_open = open
+
+        def open_on_a_full_disk(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if os.path.basename(path) == full:
+                def write(data):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                (fh.buffer if hasattr(fh, "buffer") else fh).raw.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", open_on_a_full_disk, raising=False)
+        out = tmp_path / "outer.csv"
+        code, _, err = run_cli([*FIG2_OUTER, "--out", str(out)], capsys)
+        assert (code, err) == (2, f"error: [Errno 28] No space left on device: {str(tmp_path / full)!r}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_dev_full_exits_2_naming_it(self, capsys):
+        code, _, err = run_cli(["region", "outer", "--out", "/dev/full"], capsys)
+        assert (code, err) == (2, "error: [Errno 28] No space left on device: '/dev/full'\n")
+
     def test_outputs_open_without_o_trunc(self, tmp_path, capsys, monkeypatch):
         os_open, opened = os.open, {}
 

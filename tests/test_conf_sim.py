@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -369,19 +368,19 @@ class TestConfigFitsPattern:
     @pytest.mark.parametrize("field,value", [("k", 100), ("k", math.inf), ("d_max", 3)])
     @pytest.mark.parametrize("run", [run_rx_conferencing, run_tx_conferencing])
     def test_runs_reject_a_mismatch(self, run, field, value):
-        cfg = replace(NetworkConfig(alpha=0.5, p=1e6, k=22, d_max=10), **{field: value})
+        cfg = NetworkConfig(alpha=0.5, p=1e6, k=22, d_max=10).replace(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} of the config"):
             run(cfg, self.PATTERN)
 
     @pytest.mark.parametrize("field,value", [("k", 100), ("d_max", 3)])
     def test_measure_mux_gains_rejects_a_mismatch(self, field, value):
-        cfg = replace(NetworkConfig(alpha=0.5, p=1e6, k=22, d_max=10), **{field: value})
+        cfg = NetworkConfig(alpha=0.5, p=1e6, k=22, d_max=10).replace(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} of the config"):
             measure_mux_gains(cfg, self.PATTERN, [1e2, 1e4, 1e6])
 
     @pytest.mark.parametrize("field,value", [("k", 100), ("d_max", 3)])
     def test_phase_rotated_load_rejects_a_mismatch(self, field, value):
-        cfg = replace(NetworkConfig(alpha=0.5, p=1e6, k=36, d_max=2), **{field: value})
+        cfg = NetworkConfig(alpha=0.5, p=1e6, k=36, d_max=2).replace(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} of the config"):
             phase_rotated_load(cfg, 36, 2)
 
@@ -391,9 +390,9 @@ class TestConfigFitsPattern:
 # --------------------------------------------------------------------------
 
 def _columns(record, records):
-    """The Columns of a sequence of dataclass records."""
+    """The Columns of a sequence of records."""
     records = list(records)
-    return Columns(record, {f.name: np.array([getattr(r, f.name) for r in records]) for f in fields(record)})
+    return Columns(record, {f: np.array([getattr(r, f) for r in records]) for f in record._fields})
 
 
 def _report_of(users, avg_fast, avg_slow, msgs):
@@ -506,7 +505,7 @@ def _ref_event_rows(users, msgs, pattern):
 def _ref_convergence(cfg, pattern, ladder, mode):
     rows, prev_fast, prev_slow, prev_norm = [], 0.0, 0.0, 0.0
     for p in ladder:
-        _, avg_fast, avg_slow, msgs = _ref_run(replace(cfg, p=float(p)), pattern, mode)
+        _, avg_fast, avg_slow, msgs = _ref_run(cfg.replace(p=float(p)), pattern, mode)
         norm = 0.5 * math.log2(1 + p)
         max_pl, avg_pl = _ref_load(msgs, pattern.k, p)
         rows.append(ConvergenceRow(float(p), (avg_fast - prev_fast) / (norm - prev_norm),
@@ -598,7 +597,7 @@ class TestRateReportColumns:
         from_records = _report_of(users, avg_fast, avg_slow, msgs)
         assert rep == from_records
         assert rep.per_user == users and users == rep.per_user
-        assert rep != run_rx_conferencing(replace(cfg, p=cfg.p * 2), pattern)
+        assert rep != run_rx_conferencing(cfg.replace(p=cfg.p * 2), pattern)
         assert rep.per_user != rep.per_user[:-1]
         assert conferencing_load(from_records, cfg.p) == conferencing_load(rep, cfg.p)
 
@@ -614,12 +613,12 @@ class TestSharedLayout:
             layout = conf_sim._layout(pattern, mode)
             ladder = sorted({10 ** rng.uniform(0.1, 8) for _ in range(rng.randint(3, 6))})
             for p in ladder:
-                users, avg_fast, avg_slow, msgs = _ref_run(replace(cfg, p=p), pattern, mode)
-                rep = conf_sim._report(layout, replace(cfg, p=p))
+                users, avg_fast, avg_slow, msgs = _ref_run(cfg.replace(p=p), pattern, mode)
+                rep = conf_sim._report(layout, cfg.replace(p=p))
                 assert rep == _report_of(users, avg_fast, avg_slow, msgs)
                 assert (rep.avg_fast, rep.avg_slow) == (avg_fast, avg_slow)
                 assert conferencing_load(rep, p) == _ref_load(msgs, len(users), p)
-            top = replace(cfg, p=ladder[-1])
+            top = cfg.replace(p=ladder[-1])
             want = _ref_convergence(cfg, pattern, ladder, mode)
             # the simulate command's path: _convergence also hands back the top power's report
             _, rows, top_report = conf_sim._convergence(layout, cfg, ladder)
@@ -775,5 +774,5 @@ def test_simulated_sum_rate_within_finite_k_outer_sum_bound(d_max, extra, alpha,
     k = 2 * d_max + 2 + extra
     cfg = NetworkConfig(alpha=alpha, p=10 ** log_p, k=k, d_max=d_max)
     rep = (run_rx_conferencing if mode == "rx" else run_tx_conferencing)(cfg, build_silencing(k, d_max))
-    cap = outer_constraints(replace(cfg, pi=_max_link_bits(rep))).sum_cap
+    cap = outer_constraints(cfg.replace(pi=_max_link_bits(rep))).sum_cap
     assert rep.avg_fast + rep.avg_slow <= cap

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +155,7 @@ class TestInnerBoundary:
         # (grid + 1)(d_max + 1) just over 2e6 cells; never let it reach an allocation
         monkeypatch.setattr(ib, "_best_per_bin", lambda *args: pytest.fail("swept past the cell budget"))
         with pytest.raises(ValueError, match=f"grid {grid} and d_max {d_max} ask for more than"):
-            inner_boundary(replace(CFG_FIG2, d_max=d_max), scheme, grid)
+            inner_boundary(CFG_FIG2.replace(d_max=d_max), scheme, grid)
 
     @pytest.mark.parametrize("scheme,d_max", [("both", 16), ("1", 100_000)])
     def test_cell_budget_admits_fig2_at_the_largest_grid(self, monkeypatch, scheme, d_max):
@@ -169,7 +168,7 @@ class TestInnerBoundary:
 
         monkeypatch.setattr(ib, "_best_per_bin", reached)
         with pytest.raises(Reached):
-            inner_boundary(replace(CFG_FIG2, d_max=d_max), scheme, ib._MAX_GRID)
+            inner_boundary(CFG_FIG2.replace(d_max=d_max), scheme, ib._MAX_GRID)
 
 
 class TestInnerRegion:
@@ -968,7 +967,7 @@ def test_corrected_scheme2_bins_grow_with_dmax_and_pi(alpha, log_p, pi, d_max, m
     cfg = NetworkConfig(alpha=alpha, p=10 ** log_p, pi=pi, d_max=d_max)
     xs = _best_per_bin(cfg, False, True, 24, True)[0]
     base = _corrected_scheme2_at(cfg, xs)[2]
-    for bigger in (replace(cfg, d_max=min(d_max + more_d, 16)), replace(cfg, pi=pi + more_pi)):
+    for bigger in (cfg.replace(d_max=min(d_max + more_d, 16)), cfg.replace(pi=pi + more_pi)):
         r_fast, conf, tot = _corrected_scheme2_at(bigger, xs)
         assert np.all(r_fast >= xs - 1e-9) and np.all(conf <= bigger.pi + 1e-9)
         assert np.all(tot >= base - 1e-9), bigger

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from softhandoff.cli import main
 from softhandoff.model import ASYMPTOTIC_K, NetworkConfig, boundary_slopes
 from softhandoff.outer_bound import outer_constraints, outer_region
 
@@ -77,3 +78,19 @@ class TestOuterRegion:
         # slopes are {-1, -2} whenever sum < weighted < 2*sum
         v = outer_constraints(CFG_INF)
         assert v.sum_cap < v.weighted_cap < 2 * v.sum_cap
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "5e-324", "--alpha", "1e-9", "--pi", "1e-12"],  # the crossing 2e-12 above the axis
+    ["--p", "1e-12", "--alpha", "3e-6", "--pi", "0"],       # 3.6e-12 above it
+    ["--p", "1e-12", "--alpha", "1e-5", "--pi", "0"],       # 3.6e-11 above it: kept, and x still distinct
+])
+def test_printed_chain_never_repeats_an_x(argv, tmp_path, capsys):
+    # a crossing that lies above the axis by less than VERTEX_TOL times the caps merges into the
+    # x-intercept, so the 12-digit text of its x cannot equal the intercept's
+    out = tmp_path / "outer.csv"
+    assert main(["region", "outer", *argv, "--out", str(out)]) == 0, capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    xs, ys = [float(r[0]) for r in rows], [float(r[1]) for r in rows]
+    assert all(a < b for a, b in zip(xs, xs[1:])), xs
+    assert all(a >= b for a, b in zip(ys, ys[1:])), ys
