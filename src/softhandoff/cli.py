@@ -26,7 +26,6 @@ import stat
 import sys
 import time
 from collections.abc import Callable
-from itertools import repeat
 
 import numpy as np
 
@@ -52,79 +51,56 @@ def _outdir() -> str:
     return os.environ.get(_ENV_OUTDIR, ".")
 
 
-def _digit_rows(start: int, n: int, width: int) -> np.ndarray:
-    """The digits of start, start+1, ..., start+n-1 (start >= 0) as n rows of width ASCII bytes,
-    right-aligned and NUL-padded.  The digit of 10^j runs through 0..9 once per 10^(j+1) rows, so
-    each byte column is a tiled cycle: no division."""
-    rows = np.zeros((n, width), dtype=np.uint8)
-    for j in range(len(str(start + n - 1))):
+def _digit_table(hi: int) -> np.ndarray:
+    """str(i) for 0 <= i <= hi, then "", as rows of right-aligned NUL-padded ASCII bytes.  The digit
+    of 10^j runs through 0..9 once per 10^(j+1) rows, so each byte column is a tiled cycle: no division."""
+    table = np.zeros((hi + 2, len(str(hi))), dtype=np.uint8)
+    for j in range(table.shape[1]):
         place = 10**j
         cycle = np.repeat(np.arange(48, 58, dtype=np.uint8), place)
-        shift = start % (10 * place)
-        rows[:, -1 - j] = np.tile(cycle, (shift + n) // (10 * place) + 1)[shift:shift + n]
+        table[:-1, -1 - j] = np.tile(cycle, hi // (10 * place) + 1)[:hi + 1]
         if j:  # no leading zeros
-            rows[:max(place - start, 0), -1 - j] = 0
-    return rows
-
-
-def _digit_table(lo: int, hi: int) -> np.ndarray:
-    """str(i) for lo <= i <= hi, then "", as rows of right-aligned NUL-padded ASCII bytes."""
-    width = len(str(max(-lo, hi))) + (lo < 0)
-    table = np.zeros((hi - lo + 2, width), dtype=np.uint8)
-    if hi >= 0:
-        start = max(lo, 0)
-        table[start - lo:-1] = _digit_rows(start, hi - start + 1, width)
-    if lo < 0:  # the negative rows lead, |i| falling; a '-' goes just left of the leading digit
-        least = max(-hi, 1)
-        neg = table[min(hi, -1) - lo::-1]  # |i| rising from least
-        neg[:] = _digit_rows(least, len(neg), width)
-        for d in range(len(str(least)), len(str(-lo)) + 1):  # the rows of d-digit |i|
-            neg[max(10**(d - 1) - least, 0):10**d - least, -1 - d] = 45
+            table[:place, -1 - j] = 0
     return table
 
 
-def _int_span(col: np.ndarray) -> tuple[int, int] | None:
-    """The least and the greatest unmasked value of an integer column (None: it has none)."""
-    if col.dtype.kind not in "iu" or not (values := np.ma.compressed(col)).size:
+def _int_max(col: np.ndarray) -> int | None:
+    """The greatest unmasked cell of an integer column (None: another column).  A negative cell,
+    or no unmasked one, raises ValueError."""
+    if col.dtype.kind not in "iu":
         return None
-    return int(values.min()), int(values.max())
+    values = np.ma.compressed(col)
+    if not values.size or values.min() < 0:
+        raise ValueError("an integer column must have an unmasked cell and no negative one")
+    return int(values.max())
 
 
-def _cells(col: np.ndarray, table: np.ndarray, lo: int,
-           span: tuple[int, int] | None) -> tuple[np.dtype, Callable[[slice], np.ndarray]]:
+def _cells(col: np.ndarray, table: np.ndarray, top: int | None) -> tuple[np.dtype, Callable[[slice], np.ndarray]]:
     """A column's cell type, NUL-padded void cells as wide as its widest one, and the function
-    that gives the cells of a slice of its rows.  An integer column's cells are the digit table's
-    rows of its span (lo is the table's first number) and its "" row, a float column's the text
-    of its distinct values and "", and each row of a slice indexes them; an ASCII string column is
-    cast to one byte per character a slice at a time."""
+    that gives the cells of a slice of its rows.  An integer column (top: its greatest cell) indexes
+    the digit table's rows, cut to its width, by value, a float column the text of its distinct
+    values, and a masked cell the "" row; an unmasked ASCII string column is cast to one byte per
+    character a slice at a time, and any other string column raises ValueError."""
     data, mask = np.ma.getdata(col), np.ma.getmask(col)
-    if data.dtype.kind in "iu" and span is None:  # every cell masked
-        return np.dtype("V1"), lambda rows: np.zeros(len(data[rows]), "V1")
-    if data.dtype.kind in "iu":
-        a, b = span
-        width = max(len(str(a)), len(str(b)))
-        text = np.concatenate([table[a - lo:b - lo + 1, -width:], table[-1:, -width:]]).view(f"V{width}").ravel()
+    if top is not None:
+        width = len(str(top))
+        text = np.concatenate([table[:top + 1, -width:], table[-1:, -width:]]).view(f"V{width}").ravel()
 
         def key(rows):
-            return np.subtract(data[rows], a, dtype=np.intp)
+            return data[rows].astype(np.intp)
     elif data.dtype.kind == "f":
         values = np.unique(data)  # -0.0 and 0.0 fold into one value, as do the NaNs
-        words = [*map(format, values.tolist(), repeat(".12g")), ""]
-        if "-0" in words:
-            words[words.index("-0")] = "0"
-        text = np.array(words, dtype="S")
+        text = np.array([*map(_fmt, values.tolist()), ""], dtype="S")
         text = text.view(f"V{text.itemsize}")
 
         def key(rows):
             return np.searchsorted(values, data[rows])
     else:
-        text = np.ascontiguousarray(np.where(mask, "", data) if mask is not np.ma.nomask else data, dtype=str)
-        if text.view(np.uint32).max(initial=0) < 128:  # ASCII: one byte per character
-            cell = np.dtype(f"V{text.itemsize // 4}")
-            return cell, lambda rows: text[rows].view(np.uint32).astype(np.uint8).view(cell)
-        text = np.char.encode(text, "utf-8")
-        text = text.view(f"V{text.itemsize}")
-        return text.dtype, text.__getitem__
+        text = np.ascontiguousarray(data, dtype=str)
+        if np.ma.is_masked(col) or text.view(np.uint32).max(initial=0) >= 128:
+            raise ValueError("a string column must be unmasked ASCII")
+        cell = np.dtype(f"V{text.itemsize // 4}")
+        return cell, lambda rows: text[rows].view(np.uint32).astype(np.uint8).view(cell)
 
     def cells(rows):
         i = key(rows)
@@ -170,32 +146,32 @@ def _output(path: str, mode: str, **kwargs):
 def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
     """Write each (path, header, equal-length columns) as a CSV, one row per line.
 
-    Each column becomes NUL-padded void cells, as narrow as its widest cell: integers index the
-    rows of one digit table over the files' integer range, which the callers keep small (k <=
-    _MAX_K cells), cut to the column's own width; floats are formatted as _fmt does, once per
-    distinct value; strings are one byte per character where they are ASCII (by a cast of their
-    UCS-4 code points), else their UTF-8 bytes; masked cells are NUL.  A block of rows is one
-    packed record array, a cell and a separator byte per column, written with its NULs dropped.
-    Each block's cells are found when it is filled, so no array of cell indices or of cast text
-    as long as a column is built, and no Python object per row or cell.
+    The columns are the CLI's: integers from 0 up with an unmasked cell, floats, and unmasked ASCII
+    labels; any other integer or string column raises ValueError before an output is opened.  Each
+    column becomes NUL-padded void cells, as narrow as its widest cell: integers index one digit
+    table over 0..the files' greatest integer (k <= _MAX_K cells at most) by value; floats are
+    formatted by _fmt, once per distinct value; strings are one byte per character (a cast of
+    their UCS-4 code points); masked cells are NUL.  A block of rows is one packed record array, a
+    cell and a separator byte per column, written with its NULs dropped.  Each block's cells are
+    found when it is filled, so no array of cell indices or of cast text as long as a column is
+    built, and no Python object per row or cell.
     """
     files = [(path, header, [np.asanyarray(c) for c in columns]) for path, header, columns in files]
-    spans = [[_int_span(c) for c in cols] for _, _, cols in files]
-    ends = [end for col_spans in spans for span in col_spans if span for end in span]
-    lo = min(ends, default=0)
-    table = _digit_table(lo, max(ends)) if ends else None
-    for (path, header, cols), col_spans in zip(files, spans):
-        cells = [_cells(c, table, lo, span) for c, span in zip(cols, col_spans)]
+    tops = [[_int_max(c) for c in cols] for _, _, cols in files]
+    hi = max((top for col_tops in tops for top in col_tops if top is not None), default=None)
+    table = None if hi is None else _digit_table(hi)
+    cells = [[_cells(c, table, top) for c, top in zip(cols, col_tops)] for (_, _, cols), col_tops in zip(files, tops)]
+    for (path, header, cols), file_cells in zip(files, cells):
         n = len(cols[0]) if cols else 0
-        buf = np.empty(min(n, _BLOCK_ROWS), [(f"{name}{j}", t) for j, (cell, _) in enumerate(cells)
+        buf = np.empty(min(n, _BLOCK_ROWS), [(f"{name}{j}", t) for j, (cell, _) in enumerate(file_cells)
                                               for name, t in (("c", cell), ("s", np.uint8))])
-        for j in range(len(cells)):
-            buf[f"s{j}"] = 10 if j == len(cells) - 1 else 44  # a newline ends a row, a ',' any other cell
+        for j in range(len(file_cells)):
+            buf[f"s{j}"] = 10 if j == len(file_cells) - 1 else 44  # a newline ends a row, a ',' any other cell
         with _output(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for i in range(0, n, _BLOCK_ROWS):
                 block = buf[:n - i]
-                for j, (_, cells_of) in enumerate(cells):
+                for j, (_, cells_of) in enumerate(file_cells):
                     block[f"c{j}"] = cells_of(slice(i, i + len(block)))
                 fh.write(block.tobytes().translate(None, b"\0"))
 

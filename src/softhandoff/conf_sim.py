@@ -350,23 +350,20 @@ def _row(*fields):
     return fields
 
 
-def _event_order(rnd: np.ndarray, user: np.ndarray, n_dec: int) -> np.ndarray:
+def _event_order(rnd: np.ndarray, user: np.ndarray, n_dec: int, span: int) -> np.ndarray:
     """The order of events by round, then conference before decode (the first n_dec events
-    are decodes), then user, ties kept in event order: np.lexsort's, from one sort of the
-    keys packed in an int64 with the event's position last, wherever they fit in one."""
+    are decodes), then user, ties kept in event order, from one sort of the keys packed in an
+    int64 with the event's position last.  Rounds and users must lie in [0, span), and the n
+    events few enough that (2 span) span n <= 2^63: a layout at k <= _MAX_K has span k + 1 and
+    at most about 2k events, so its keys stay below about 3.2e16."""
     n = len(rnd)
-    if n and rnd.dtype == user.dtype == np.int64:
-        r0, u0 = int(rnd.min()), int(user.min())
-        span = int(user.max()) - u0 + 1
-        if ((int(rnd.max()) - r0) * 2 + 2) * span * n <= np.iinfo(np.int64).max:
-            key = (rnd - r0) * (2 * span * n)
-            key += (user - u0) * n
-            key[:n_dec] += span * n
-            key += np.arange(n)
-            key.sort()
-            key %= n
-            return key
-    return np.lexsort((user, np.arange(n) < n_dec, rnd))
+    key = np.asarray(rnd, np.int64) * (2 * span * n)
+    key += np.asarray(user, np.int64) * n
+    key[:n_dec] += span * n
+    key += np.arange(n)
+    key.sort()
+    key %= n
+    return key
 
 
 def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
@@ -381,11 +378,12 @@ def event_log_rows(report: RateReport, pattern: SilencingPattern) -> Columns:
     n_dec = int(np.count_nonzero(dec))
     decoded = users["user"][dec]
     cells = np.concatenate([decoded, log["from_node"]])
-    if cells.size and not 1 <= cells.min() <= cells.max() <= pattern.k:
-        raise ValueError("report has cells outside the silencing pattern")
     user = np.concatenate([decoded, log["subject"]])
     rnd = np.concatenate([users["decode_round"][dec], log["round"]])
-    order = _event_order(rnd, user, n_dec)
+    for name, values, least in (("cells", cells, 1), ("subjects", user, 1), ("rounds", rnd, 0)):
+        if values.size and not least <= values.min() <= values.max() <= pattern.k:
+            raise ValueError(f"report has {name} outside the silencing pattern ({least}..{pattern.k})")
+    order = _event_order(rnd, user, n_dec, pattern.k + 1)
     sub = pattern.subnets.cols
     subnet_of = np.repeat(np.arange(len(pattern.subnets)), sub["silenced_cell"] - sub["first"] + 1)  # cells 1..k
     subnet = subnet_of[cells[order].astype(np.intp, copy=False) - 1]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softhandoff import conf_sim
+from softhandoff import cli, conf_sim
 from softhandoff.cli import _BLOCK_ROWS, _fmt, _write_csvs
 from softhandoff.conf_sim import (
     ConferenceMessage,
@@ -640,18 +640,36 @@ class TestEventOrder:
             rep = _report_of(users, 0.0, 0.0, msgs)
             assert list(event_log_rows(rep, pattern)) == _ref_event_rows(users, msgs, pattern)
 
-    def test_keys_too_wide_for_one_int64(self):
-        """Rounds so far apart that (round, kind, user, position) overflows an int64
-        key: the order is still np.lexsort's."""
-        rng = random.Random(6)
-        pattern = build_silencing(40, 2)
-        rounds = [0, 2**55, 2**61, 2**62 + 7]
-        users = [UserRate(c, rng.choice(["fast", "slow", "silenced"]), 0.5, rng.choice(rounds)) for c in range(1, 41)]
-        msgs = [ConferenceMessage(rng.choice(rounds), rng.randint(1, 40), rng.randint(1, 40), 2.0,
-                                  "quantization_index", rng.randint(1, 40)) for _ in range(300)]
-        rep = _report_of(users, 0.0, 0.0, msgs)
-        assert rep.conf_log.cols["round"].dtype == np.int64
-        assert list(event_log_rows(rep, pattern)) == _ref_event_rows(users, msgs, pattern)
+    @pytest.mark.parametrize("record,field,value,name", [
+        ("message", "round", -1, "rounds"), ("message", "round", 13, "rounds"),
+        ("user", "decode_round", 13, "rounds"), ("message", "subject", 0, "subjects"),
+        ("message", "subject", 13, "subjects"),
+    ])
+    def test_refuses_a_round_or_subject_outside_the_pattern(self, record, field, value, name):
+        """Rounds lie in 0..k and subjects in 1..k, which keeps the packed keys in an int64."""
+        pattern = build_silencing(12, 1)
+        rep = run_rx_conferencing(NetworkConfig(alpha=0.2, p=5.0, d_max=1, k=12), pattern)
+        users, msgs = list(rep.per_user), list(rep.conf_log)
+        records = users if record == "user" else msgs
+        records[1] = records[1].replace(**{field: value})
+        with pytest.raises(ValueError, match=f"report has {name} outside the silencing pattern"):
+            event_log_rows(_report_of(users, rep.avg_fast, rep.avg_slow, msgs), pattern)
+
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    @pytest.mark.parametrize("d_max", [1, (conf_sim._MAX_K - 2) // 2])
+    def test_packed_keys_fit_at_the_largest_k(self, mode, d_max):
+        """At k = _MAX_K, with the most subnets (d_max = 1) and with one subnet, which has the
+        most events and the latest rounds, the packed keys of event_log_rows' inputs sort as
+        np.lexsort does: the key bound's assumptions hold, and 2 (k+1)^2 n stays below 2^63."""
+        k = conf_sim._MAX_K
+        layout = conf_sim._layout(build_silencing(k, d_max), mode)
+        (cell, _, _, decode_round), (rnd, _, _, _, subject) = layout.users, layout.msgs
+        dec = (layout.kind_label == "fast") | (layout.kind_label == "slow")
+        rnd, user = np.concatenate([decode_round[dec], rnd]), np.concatenate([cell[dec], subject])
+        n_dec = int(np.count_nonzero(dec))
+        want = np.lexsort((user, np.arange(len(rnd)) < n_dec, rnd))
+        assert np.array_equal(conf_sim._event_order(rnd, user, n_dec, k + 1), want)
+        assert max(rnd.max(), user.max()) <= k and len(rnd) < 2 * k
 
 
 def _ref_csv(header, columns):
@@ -667,49 +685,61 @@ def _masked(values, mask):
     return np.ma.masked_array(np.array(values, dtype=np.int64), mask)
 
 
+# the writer's domain: integers >= 0 with an unmasked cell, floats of any sign (the
+# "negative" case), and unmasked ASCII strings; masks fall on numeric columns only
 CSV_COLUMNS = {
-    "negative": [np.array([-5, 3, -5, 0, 12]), np.array([0.5, -0.0, 0.5, 1e-300, -2.5]), ["a", "b", "a", "", "c"]],
-    "empty": [np.zeros(0, dtype=np.int64), np.zeros(0), []],
-    "single": [np.array([7]), np.array([1 / 3]), _masked([0], [True])],
-    "masked": [np.array([4, 9, 4]), _masked([0, -2, 11], [True, False, False]), _masked([3, 0, 0], [False, True, True]),
+    "negative": [np.array([5, 3, 5, 0, 12]), np.array([0.5, -0.0, 0.5, 1e-300, -2.5]), ["a", "b", "a", "", "c"]],
+    "empty": [np.zeros(0), []],
+    "single": [np.array([7]), np.array([1 / 3]), np.ma.masked_array([0.5], [True])],
+    "masked": [np.array([4, 9, 4]), _masked([0, 2, 11], [True, False, False]), _masked([3, 0, 0], [False, True, True]),
                np.array(["decode", "conference", "decode"], dtype=object)],
-    "no unmasked int": [_masked([5, -6], [True, True]), np.array([1.5, 2.0])],
+    "no unmasked float": [np.array([5, 6]), np.ma.masked_array([1.5, 2.0], [True, True])],
+}
+
+# columns no caller makes, which the writer refuses
+REFUSED_COLUMNS = {
+    "negative int": np.array([3, -1, 2]),
+    "non-ASCII string": np.array(["a", "\u00e9", "b"]),
+    "masked string": np.ma.masked_array(["a", "b", "c"], [False, True, False]),
+    "no unmasked int": _masked([1, 2, 3], [True, True, True]),
 }
 
 
 # each integer column draws its own window, so the columns of one call differ
-# in digit count and sign, and the one digit table of the call spans them
-# all; digit counts change at the powers of ten, and +-999999 is the widest
-INT_WINDOWS = st.tuples(st.sampled_from([0, 9, 10, 99, 100, 9_999, 10_000, 99_999, 999_999]), st.sampled_from([1, -1]),
+# in digit count, and the one digit table of the call spans them all; digit
+# counts change at the powers of ten, and 999999 is the widest
+INT_WINDOWS = st.tuples(st.sampled_from([0, 9, 10, 99, 100, 9_999, 10_000, 99_999, 999_999]),
                         st.sampled_from([0, 3, 200, 20_000]))
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
                   5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.1, -2.5, 1 / 3]
-STRINGS = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\0"), max_size=5)
 ASCII = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=5)
-NON_ASCII = st.text(st.characters(min_codepoint=128, blacklist_categories=["Cs"]), min_size=1, max_size=5)
 
 
 def _int_pool(window):
-    center, half = window[0] * window[1], window[2]
-    return st.integers(max(center - half, -999_999), min(center + half, 999_999))
+    center, half = window
+    return st.integers(max(center - half, 0), min(center + half, 999_999))
 
 
 def _drawn_csv(data, i):
     """A header and equal-length columns: cells drawn from a small pool per column,
-    masked or not, integers from a window per column, strings as a fixed-width or an
-    object array.  The first file also holds two integer columns, an ASCII and a non-ASCII
-    string column."""
-    pools = {"float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), "str": STRINGS, "object": STRINGS,
-             "ascii": ASCII, "non-ascii": NON_ASCII}
-    n = data.draw(st.sampled_from([0, 1, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5]))
+    integers from a window per column, strings as a fixed-width or an object array,
+    a numeric column masked or not (an integer column keeps one unmasked cell).  The
+    first file also holds two integer columns and a string column."""
+    pools = {"float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), "str": ASCII, "object": ASCII}
+    n = data.draw(st.sampled_from([1, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     columns = []
     kinds = data.draw(st.lists(st.sampled_from(["float", "int", "object", "str"]), min_size=1, max_size=5))
-    for kind in kinds + (["int", "int", "ascii", "non-ascii"] if i == 0 else []):
+    for kind in kinds + (["int", "int", "str"] if i == 0 else []):
         cells = _int_pool(data.draw(INT_WINDOWS)) if kind == "int" else pools[kind]
         pool = data.draw(st.lists(cells, min_size=1, max_size=6))
         col = np.array(pool, dtype=object if kind == "object" else None)[rng.integers(len(pool), size=n)]
-        columns.append(np.ma.masked_array(col, rng.random(n) < 0.3) if data.draw(st.booleans()) else col)
+        if kind in ("float", "int") and data.draw(st.booleans()):
+            mask = rng.random(n) < 0.3
+            if kind == "int":
+                mask[rng.integers(n)] = False
+            col = np.ma.masked_array(col, mask)
+        columns.append(col)
     return [f"f{i}c{j}" for j in range(len(columns))], columns
 
 
@@ -726,8 +756,8 @@ class TestCsvText:
         periods 3 and 5 do not divide the block size), compared line by line."""
         rows = np.arange(2 * _BLOCK_ROWS + 5)
         assert _BLOCK_ROWS % 3 and _BLOCK_ROWS % 5
-        columns = [np.array(["a", "bc", ""])[rows % 3], np.ma.masked_array(rows - 9, rows % 5 == 0), rows / 7,
-                   np.array(["é", "x"])[rows % 3 // 2]]
+        columns = [np.array(["a", "bc", ""])[rows % 3], np.ma.masked_array(rows + 9, rows % 5 == 0), -rows / 7,
+                   np.array(["xyz", "x"])[rows % 3 // 2]]
         header = [f"c{i}" for i in range(len(columns))]
         _write_csvs([(str(tmp_path / "t.csv"), header, columns)])
         assert (tmp_path / "t.csv").read_text().splitlines() == _ref_csv(header, columns).splitlines()
@@ -740,11 +770,23 @@ class TestCsvText:
             with open(path) as fh:
                 assert fh.read() == _ref_csv(header, columns)
 
+    @pytest.mark.parametrize("name", sorted(REFUSED_COLUMNS))
+    def test_refuses_before_opening_any_output(self, tmp_path, monkeypatch, name):
+        """A column in the second file is refused before the first file is opened."""
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_bytes(b"old bytes\n")
+        opened = []
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: opened.append(args), raising=False)
+        files = [(str(first), ["n"], [np.arange(3)]), (str(second), ["n", "x"], [np.arange(3), REFUSED_COLUMNS[name]])]
+        with pytest.raises(ValueError, match="column must"):
+            _write_csvs(files)
+        assert opened == [] and first.read_bytes() == b"old bytes\n" and not second.exists()
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_matches_per_cell_formatting_on_drawn_columns(self, tmp_path_factory, data):
-        """Files of int, float and string columns, any of them masked, at row
-        counts on either side of the writer's block size, written in one call."""
+        """Files of int, float and ASCII string columns, any numeric one masked, at
+        row counts on either side of the writer's block size, written in one call."""
         tmp = tmp_path_factory.mktemp("csv")
         files = [(str(tmp / f"{i}.csv"), *_drawn_csv(data, i)) for i in range(data.draw(st.integers(1, 2)))]
         _write_csvs(files)
