@@ -33,7 +33,7 @@ from . import __version__
 from .conf_sim import _convergence, _layout, build_silencing, event_log_rows, validate_p_ladder
 from .conf_sim import measure_mux_gains, run_rx_conferencing, run_tx_conferencing  # noqa: F401 - traced names
 from .inner_bound import inner_boundary
-from .model import ASYMPTOTIC_K, NetworkConfig, Region, _polyline_ymax, upper_chain, validate_config
+from .model import ASYMPTOTIC_K, Coded, NetworkConfig, Region, _polyline_ymax, upper_chain, validate_config
 from .mux_gain import MuxRegionSpec, mux_region
 from .outer_bound import outer_region
 from .reference_curves import KNOWN_DISCREPANCIES, get_reference, match_inner_reference
@@ -64,9 +64,11 @@ def _digit_table(hi: int) -> np.ndarray:
     return table
 
 
-def _int_max(col: np.ndarray) -> int | None:
-    """The greatest unmasked cell of an integer column (None: another column).  A negative cell,
-    or no unmasked one, raises ValueError."""
+def _int_max(col: np.ndarray | Coded) -> int | None:
+    """The greatest unmasked cell of an integer column, or label of a Coded one on range(n) (None: another
+    column).  A negative cell, or no unmasked one, raises ValueError."""
+    if isinstance(col, Coded):
+        return len(col.labels) - 1 if isinstance(col.labels, range) else None
     if col.dtype.kind not in "iu":
         return None
     values = np.ma.compressed(col)
@@ -75,35 +77,25 @@ def _int_max(col: np.ndarray) -> int | None:
     return int(values.max())
 
 
-def _cells(col: np.ndarray, table: np.ndarray, top: int | None) -> tuple[np.dtype, Callable[[slice], np.ndarray]]:
-    """A column's cell type, NUL-padded void cells as wide as its widest one, and the function
-    that gives the cells of a slice of its rows.  An integer column (top: its greatest cell) indexes
-    the digit table's rows, cut to its width, by value, a float column the text of its distinct
-    values, and a masked cell the "" row; an unmasked ASCII string column is cast to one byte per
-    character a slice at a time, and any other string column raises ValueError."""
-    data, mask = np.ma.getdata(col), np.ma.getmask(col)
+def _cells(col: np.ndarray | Coded, digits: Callable[[int], np.ndarray],
+           top: int | None) -> tuple[np.dtype, Callable[[slice], np.ndarray]]:
+    """A column's cell type, NUL-padded void cells as wide as its widest, and the function giving the cells
+    of a slice of its rows: an integer column (top: its greatest cell, or last range label) indexes digits(top)
+    by value or code, a float or string one the text of its distinct values, a Coded one that of its labels,
+    and a masked cell or code -1 the "" row.  A masked or non-ASCII string column raises ValueError."""
+    coded = isinstance(col, Coded)
+    data, mask = (col.codes, np.ma.nomask) if coded else (np.ma.getdata(col), np.ma.getmask(col))
+    values = None if coded or top is not None else np.unique(data)  # -0.0 and 0.0 fold into one, as do NaNs
     if top is not None:
-        width = len(str(top))
-        text = np.concatenate([table[:top + 1, -width:], table[-1:, -width:]]).view(f"V{width}").ravel()
-
-        def key(rows):
-            return data[rows].astype(np.intp)
-    elif data.dtype.kind == "f":
-        values = np.unique(data)  # -0.0 and 0.0 fold into one value, as do the NaNs
-        text = np.array([*map(_fmt, values.tolist()), ""], dtype="S")
-        text = text.view(f"V{text.itemsize}")
-
-        def key(rows):
-            return np.searchsorted(values, data[rows])
+        text = digits(top)
     else:
-        text = np.ascontiguousarray(data, dtype=str)
-        if np.ma.is_masked(col) or text.view(np.uint32).max(initial=0) >= 128:
+        labels = [_fmt(v) if isinstance(v, float) else v for v in (col.labels if coded else values.tolist())]
+        if not all(map(str.isascii, labels)) or (data.dtype.kind in "OUS" and np.ma.is_masked(col)):
             raise ValueError("a string column must be unmasked ASCII")
-        cell = np.dtype(f"V{text.itemsize // 4}")
-        return cell, lambda rows: text[rows].view(np.uint32).astype(np.uint8).view(cell)
+        text = (cells_text := np.array([*labels, ""], dtype="S")).view(f"V{cells_text.itemsize}")
 
     def cells(rows):
-        i = key(rows)
+        i = data[rows].astype(np.intp) if values is None else np.searchsorted(values, data[rows])
         if mask is not np.ma.nomask:
             i[mask[rows]] = -1  # the "" cell
         return text.take(i)
@@ -146,34 +138,39 @@ def _output(path: str, mode: str, **kwargs):
 def _write_csvs(files: list[tuple[str, list[str], list]]) -> None:
     """Write each (path, header, equal-length columns) as a CSV, one row per line.
 
-    The columns are the CLI's: integers from 0 up with an unmasked cell, floats, and unmasked ASCII
-    labels; any other integer or string column raises ValueError before an output is opened.  Each
-    column becomes NUL-padded void cells, as narrow as its widest cell: integers index one digit
-    table over 0..the files' greatest integer (k <= _MAX_K cells at most) by value; floats are
-    formatted by _fmt, once per distinct value; strings are one byte per character (a cast of
-    their UCS-4 code points); masked cells are NUL.  A block of rows is one packed record array, a
-    cell and a separator byte per column, written with its NULs dropped.  Each block's cells are
-    found when it is filled, so no array of cell indices or of cast text as long as a column is
-    built, and no Python object per row or cell.
+    The columns are the CLI's: integers from 0 up with an unmasked cell, floats, unmasked ASCII labels
+    and Coded ones; any other raises ValueError before an output is opened.  Each becomes NUL-padded void
+    cells as narrow as its widest (see _cells): a cell is a row of one digit table over 0..the files'
+    greatest integer, or of a table of a column's distinct floats or strings, or of its Coded labels.
+    Each block of rows fills one reusable record array on a bytearray, a cell and a separator byte per
+    column, whose bytes are written with their NULs dropped by one translate, the block's one copy.
     """
-    files = [(path, header, [np.asanyarray(c) for c in columns]) for path, header, columns in files]
+    files = [(path, head, [c if isinstance(c, Coded) else np.asanyarray(c) for c in cs]) for path, head, cs in files]
     tops = [[_int_max(c) for c in cols] for _, _, cols in files]
     hi = max((top for col_tops in tops for top in col_tops if top is not None), default=None)
     table = None if hi is None else _digit_table(hi)
-    cells = [[_cells(c, table, top) for c, top in zip(cols, col_tops)] for (_, _, cols), col_tops in zip(files, tops)]
+
+    @functools.cache
+    def digits(top: int) -> np.ndarray:  # str(i) for 0 <= i <= top, then "", as cells as wide as str(top)
+        width = len(str(top))
+        return np.concatenate([table[:top + 1, -width:], table[-1:, -width:]]).view(f"V{width}").ravel()
+    cells = [[_cells(c, digits, top) for c, top in zip(cols, col_tops)] for (_, _, cols), col_tops in zip(files, tops)]
     for (path, header, cols), file_cells in zip(files, cells):
         n = len(cols[0]) if cols else 0
-        buf = np.empty(min(n, _BLOCK_ROWS), [(f"{name}{j}", t) for j, (cell, _) in enumerate(file_cells)
-                                              for name, t in (("c", cell), ("s", np.uint8))])
+        row = np.dtype([(f"{name}{j}", t) for j, (cell, _) in enumerate(file_cells)
+                        for name, t in (("c", cell), ("s", np.uint8))])
+        raw = bytearray(min(n, _BLOCK_ROWS) * row.itemsize)
+        buf = np.frombuffer(raw, row)  # a view: the record array fills raw
         for j in range(len(file_cells)):
             buf[f"s{j}"] = 10 if j == len(file_cells) - 1 else 44  # a newline ends a row, a ',' any other cell
+        fields = [(buf[f"c{j}"], cells_of) for j, (_, cells_of) in enumerate(file_cells)]
         with _output(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for i in range(0, n, _BLOCK_ROWS):
-                block = buf[:n - i]
-                for j, (_, cells_of) in enumerate(file_cells):
-                    block[f"c{j}"] = cells_of(slice(i, i + len(block)))
-                fh.write(block.tobytes().translate(None, b"\0"))
+                m = min(n - i, _BLOCK_ROWS)
+                for field, cells_of in fields:
+                    field[:m] = cells_of(slice(i, i + m))
+                fh.write((raw if m == len(buf) else raw[:m * row.itemsize]).translate(None, b"\0"))
 
 
 def _write_chain(path: str, header: list[str], chain: list[tuple[float, float]], source: str) -> None:
@@ -205,10 +202,11 @@ def _parse_k(text: str) -> float:
 
 
 def _parse_ladder(values: list) -> list[float]:
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"p_ladder must be a list of numbers, got {values!r}") from None
+    """p_ladder as floats from a list of numbers or numeric strings: no bool, nor a string or mapping read by cell."""
+    if isinstance(values, list) and all(type(v) in (int, float, str) for v in values):
+        with contextlib.suppress(ValueError, OverflowError):
+            return [float(v) for v in values]
+    raise ValueError(f"p_ladder must be a list of numbers, got {values!r}")
 
 
 def _checked(params: dict, name: str, default, *types: type):

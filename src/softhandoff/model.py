@@ -23,6 +23,7 @@ __all__ = [
     "MuxPair",
     "Region",
     "Columns",
+    "Coded",
     "validate_config",
     "region_contains",
     "boundary_slopes",
@@ -212,9 +213,26 @@ class Region(Record):
             raise ValueError(f"unknown region kind {self.kind!r}")
 
 
-def _values(col: np.ndarray) -> list:
-    """The cells of a column as Python scalars; a masked (np.ma) cell reads as ""."""
-    return np.ma.filled(col.astype(object), "").tolist() if np.ma.is_masked(col) else col.tolist()
+class Coded:
+    """A column as integer codes into its cells' table, labels (a tuple, or range(n)): code i reads as
+    labels[i], code -1 as "" (numpy then reads the cells into an object array)."""
+
+    def __init__(self, codes: np.ndarray, labels: Sequence):
+        self.codes, self.labels = codes, labels
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> Coded:
+        return Coded(self.codes[rows], self.labels)
+
+    def tolist(self) -> list:
+        return [self.labels[c] if c >= 0 else "" for c in self.codes.tolist()]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self.codes.size and self.codes.min() < 0:
+            return np.array(self.tolist(), dtype=dtype or object)
+        return np.asarray(self.labels, dtype=dtype).take(self.codes)
 
 
 class Columns(Sequence):
@@ -222,8 +240,9 @@ class Columns(Sequence):
 
     ``len`` is free; records are built only when indexed or iterated, from
     Python scalars, so they compare and print like records built one by one.
-    A column may be a masked array, whose masked cells read as "".  The
-    record is any callable of one row's cells, in column order.
+    A column is an array or Coded; Columns of one record type compare column
+    by column, Coded ones of one table by their codes.  The record is any
+    callable of one row's cells, in column order.
     """
 
     def __init__(self, record, cols: dict[str, np.ndarray]):
@@ -236,15 +255,16 @@ class Columns(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        return self.record(*(_values(c[[i]])[0] for c in self.cols.values()))
+        return self.record(*(c[[i]].tolist()[0] for c in self.cols.values()))
 
     def __iter__(self):
-        return map(self.record, *map(_values, self.cols.values()))
+        return map(self.record, *(c.tolist() for c in self.cols.values()))
 
     def __eq__(self, other):
         if isinstance(other, Columns) and self.record is other.record:
             return self.cols.keys() == other.cols.keys() and all(
-                np.array_equal(c, other.cols[n]) for n, c in self.cols.items())
+                np.array_equal(c.codes, o.codes) if type(c) is type(o) is Coded and c.labels == o.labels
+                else np.array_equal(c, o) for c, o in zip(self.cols.values(), other.cols.values()))
         if isinstance(other, (Columns, tuple, list)):  # another record maker: compare records
             return list(self) == list(other)
         return NotImplemented

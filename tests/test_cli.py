@@ -2,7 +2,9 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
+import re
 import stat
 import tempfile
 import threading
@@ -338,13 +340,13 @@ class TestManifestRoundTrip:
     @pytest.mark.parametrize("mode", ["rx", "tx"])
     def test_simulate_runs_each_ladder_power_once(self, tmp_path, capsys, monkeypatch, mode):
         powers = []
-        report = conf_sim._report
+        rates = conf_sim._rates
 
         def counted(layout, cfg):
             powers.append(cfg.p)
-            return report(layout, cfg)
+            return rates(layout, cfg)
 
-        monkeypatch.setattr(conf_sim, "_report", counted)
+        monkeypatch.setattr(conf_sim, "_rates", counted)
         code, _, _ = run_cli(
             ["simulate", mode, "--k", "22", "--dmax", "2", "--p-ladder", "1e2,1e4,1e6",
              "--out", str(tmp_path / "s")],
@@ -501,6 +503,24 @@ class TestMalformedManifest:
         code, _, err = _rerun_doc(tmp_path, capsys, doc)
         assert code == 2
         assert field in err
+
+    @pytest.mark.parametrize("ladder", ["234", {"2": 1, "3": 1, "4": 1}, [True, 3.0, 4.0], [[2.0], [3.0], [4.0]], None],
+                             ids=["string", "object", "bool", "nested", "null"])
+    def test_simulate_ladder_not_a_list_of_numbers(self, tmp_path, capsys, ladder):
+        """A ladder string or object is refused, not run as a ladder of its characters or keys."""
+        doc = _manifest(tmp_path, capsys, ["simulate", "tx", "--k", "12", "--dmax", "2"])
+        doc["params"]["p_ladder"] = ladder
+        code, _, err = _rerun_doc(tmp_path, capsys, doc)
+        assert code == 2
+        assert "p_ladder must be a list of numbers" in err
+        assert not list(tmp_path.glob("redone*"))
+
+    def test_simulate_ladder_of_numeric_strings(self, tmp_path, capsys):
+        doc = _manifest(tmp_path, capsys, ["simulate", "tx", "--k", "12", "--dmax", "2"])
+        doc["params"]["p_ladder"] = ["1e2", "1e4", "1e6"]
+        assert _rerun_doc(tmp_path, capsys, doc)[0] == 0
+        for name in ("rates", "events", "convergence"):
+            assert (tmp_path / f"redone_{name}.csv").read_bytes() == (tmp_path / f"first_{name}.csv").read_bytes()
 
     @pytest.mark.parametrize("key,value", [
         ("grid", "64"), ("grid", None), ("grid", 12.5), ("grid", True), ("corrected", "no"), ("corrected", 1),
@@ -876,3 +896,51 @@ def test_runner_reads_every_flag(tmp_path, argv):
     recording = _Recording(params)
     {"region": cli._run_region, "simulate": cli._run_simulate}[command](recording)
     assert recording.read == set(params)
+
+
+def _quiet(argv):
+    """main's exit code and stderr for argv, its stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+FIELD = re.compile(r"\b(k|K|d_max|dmax|alpha|p_ladder|mode)\b")
+POWERS = ["1.5", "2", "10", "1e2", "1e4", "1e6", "1e300"]
+# values that each field refuses; k="3" is below every pattern's period, dmax="0" below 1
+BROKEN = {"k": ["0", "3", "-4"], "dmax": ["0", "-1"], "alpha": ["0", "1", "-1.5", "nan", "inf"],
+          "p-ladder": ["1e2", "1e2,1e4", "1e4,1e2,1e6", "0.5,2,3", "2,3,inf", "nan,2,3", "-3,2,3"]}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from(["rx", "tx"]), d_max=st.integers(1, 5), extra=st.integers(0, 25),
+       alpha=st.floats(0.02, 0.98), sign=st.sampled_from([1, -1]),
+       ladder=st.lists(st.sampled_from(POWERS), min_size=3, max_size=5, unique=True),
+       broken=st.sampled_from([None, None, None, None, *BROKEN]), pick=st.integers(0, 6))
+def test_simulate_exits_0_or_2_and_reruns_byte_for_byte(tmp_path_factory, mode, d_max, extra, alpha, sign, ladder,
+                                                       broken, pick):
+    """Small simulate commands, valid or with one field broken, exit 0 or 2.  An exit 2 names a
+    field; an exit 0 writes three CSVs, each a header and at least one row of finite numbers and
+    labels, which a rerun of the manifest writes again byte for byte."""
+    fields = {"k": str(2 * d_max + 2 + extra), "dmax": str(d_max), "alpha": repr(sign * alpha),
+              "p-ladder": ",".join(sorted(ladder, key=float))}
+    if broken:
+        fields[broken] = BROKEN[broken][pick % len(BROKEN[broken])]
+    tmp = tmp_path_factory.mktemp("gate")
+    code, err = _quiet(["simulate", mode, *(f"--{name}={value}" for name, value in fields.items()), f"--out={tmp / 's'}"])
+    assert code in (0, 2), err
+    assert (code == 2) == (broken is not None), err
+    if code == 2:
+        assert FIELD.search(err), err
+        return
+    names = ("rates", "events", "convergence")
+    for name in names:
+        header, *rows = (tmp / f"s_{name}.csv").read_text().splitlines()
+        assert header and rows
+        for cell in ",".join(rows).split(","):
+            with contextlib.suppress(ValueError):  # a label or an empty cell is no number
+                assert math.isfinite(float(cell)), (name, cell)
+    assert _quiet(["rerun", str(tmp / "s_rates.csv.manifest.json"), f"--out={tmp / 'again'}"]) == (0, "")
+    for name in names:
+        assert (tmp / f"again_{name}.csv").read_bytes() == (tmp / f"s_{name}.csv").read_bytes()

@@ -95,7 +95,7 @@ def _ref_silencing(k, d_max, offset=0):
 
 def _ref_layout(subnets, d_max, mode):
     """_layout's arrays as a groupby over Subnet records tiled them, run by run, with
-    the labels and the fast and slow slots taken from the tiled users."""
+    the fast and slow slots taken from the tiled users."""
     template = conf_sim._rx_template if mode == "rx" else conf_sim._tx_template
     users, msgs = [], []
     for m, run in itertools.groupby(subnets, key=lambda s: s.active_count):
@@ -105,10 +105,10 @@ def _ref_layout(subnets, d_max, mode):
             t[cells] += np.repeat(firsts, len(rows))
             out.append(t)
     users, msgs = np.concatenate(users, axis=1), np.concatenate(msgs, axis=1)
-    kind, slot = users[1], users[2]
     direction = 2 * np.minimum(msgs[1], msgs[2]) + (msgs[2] < msgs[1])
-    labels = np.array(["fast", "slow", "silenced", "relay"])[kind]
-    return users, msgs, direction, labels, slot[kind == 0], slot[kind == 1]
+    users, msgs = users.astype(np.int32), msgs.astype(np.int32)  # int32 cells and rounds, int64 directions
+    kind, slot = users[1], users[2]
+    return users, msgs, direction, slot[kind == 0], slot[kind == 1]
 
 
 class TestArrayPattern:
@@ -129,11 +129,12 @@ class TestArrayPattern:
                 trailing.add(k not in range(offset or period, k + 1, period))
                 for mode in ("rx", "tx"):
                     layout = conf_sim._layout(pattern, mode)
-                    got = (layout.users, layout.msgs, layout.direction, layout.kind_label, layout.fast_slot,
-                           layout.slow_slot)
+                    got = (layout.users, layout.msgs, layout.direction, layout.fast_slot, layout.slow_slot)
                     for g, want in zip(got, _ref_layout(subnets, d_max, mode), strict=True):
                         assert g.dtype == want.dtype and np.array_equal(g, want)
-                    assert not layout.kind_label.flags.writeable
+                    # every report on the pattern shares the tiled arrays, and the pattern keeps them
+                    assert not any(a.flags.writeable for a in got[:2])
+                    assert conf_sim._layout(pattern, mode) is layout
         assert trailing == {True, False}
 
 
@@ -626,50 +627,86 @@ class TestSharedLayout:
             assert measure_mux_gains(cfg, pattern, ladder, mode)[1] == want
 
 
-class TestEventOrder:
-    def test_one_key_sorts_like_lexsort_on_round_kind_user(self):
-        """Random reports with many ties in round, event kind and user: the event
-        order is a stable sort on (round, is_decode, user), as np.lexsort gives."""
-        rng = random.Random(5)
-        pattern = build_silencing(40, 2)
-        for n_msgs in (0, 1, 50, 400):
-            users = [UserRate(c, rng.choice(["fast", "slow", "silenced"]), rng.choice([0.5, 1.0]), rng.randrange(4))
-                     for c in range(1, 41)]
-            msgs = [ConferenceMessage(rng.randrange(4), rng.randint(1, 40), rng.randint(1, 40), rng.choice([0.5, 2.0]),
-                                      "quantization_index", rng.randint(1, 40)) for _ in range(n_msgs)]
-            rep = _report_of(users, 0.0, 0.0, msgs)
-            assert list(event_log_rows(rep, pattern)) == _ref_event_rows(users, msgs, pattern)
+def _event_shapes():
+    """(d_max, offset, k) of seeded patterns: every leading and trailing partial subnet with 0, 1
+    or 2 active cells at d_max 1 and 2, then draws with d_max 1..8, any offset and a trailing rest."""
+    rng = random.Random(25)
+    shapes = [(d, off, off + 2 * (2 * d + 2) + tail) for d in (1, 2) for off in (0, 1, 2, 3) for tail in (0, 1, 2, 3)]
+    for _ in range(30):
+        d = rng.randint(1, 8)
+        period = 2 * d + 2
+        off = rng.randrange(period)
+        shapes.append((d, off, max(period, off + rng.randint(0, 5) * period + rng.randrange(period))))
+    return shapes
 
-    @pytest.mark.parametrize("record,field,value,name", [
-        ("message", "round", -1, "rounds"), ("message", "round", 13, "rounds"),
-        ("user", "decode_round", 13, "rounds"), ("message", "subject", 0, "subjects"),
-        ("message", "subject", 13, "subjects"),
-    ])
-    def test_refuses_a_round_or_subject_outside_the_pattern(self, record, field, value, name):
-        """Rounds lie in 0..k and subjects in 1..k, which keeps the packed keys in an int64."""
-        pattern = build_silencing(12, 1)
-        rep = run_rx_conferencing(NetworkConfig(alpha=0.2, p=5.0, d_max=1, k=12), pattern)
-        users, msgs = list(rep.per_user), list(rep.conf_log)
-        records = users if record == "user" else msgs
-        records[1] = records[1].replace(**{field: value})
-        with pytest.raises(ValueError, match=f"report has {name} outside the silencing pattern"):
-            event_log_rows(_report_of(users, rep.avg_fast, rep.avg_slow, msgs), pattern)
+
+class TestEventOrder:
+    """The event log, built in its order from the templates with no sort, against the record
+    loop's log sorted by (round, event kind, user)."""
+
+    @pytest.mark.parametrize("mode", ["rx", "tx"])
+    def test_template_order_matches_the_sorted_record_log(self, mode):
+        run = run_rx_conferencing if mode == "rx" else run_tx_conferencing
+        edge_sizes = set()
+        for d_max, offset, k in _event_shapes():
+            pattern = build_silencing(k, d_max, offset)
+            sizes = [s.active_count for s in pattern.subnets]
+            edge_sizes |= {("lead", sizes[0]), ("trail", sizes[-1])}
+            cfg = NetworkConfig(alpha=-0.4, p=30.0, d_max=d_max, k=k)
+            users, _, _, msgs = _ref_run(cfg, pattern, mode)
+            assert list(event_log_rows(run(cfg, pattern), pattern)) == _ref_event_rows(users, msgs, pattern)
+        assert {(edge, size) for edge in ("lead", "trail") for size in (0, 1)} <= edge_sizes
 
     @pytest.mark.parametrize("mode", ["rx", "tx"])
     @pytest.mark.parametrize("d_max", [1, (conf_sim._MAX_K - 2) // 2])
-    def test_packed_keys_fit_at_the_largest_k(self, mode, d_max):
-        """At k = _MAX_K, with the most subnets (d_max = 1) and with one subnet, which has the
-        most events and the latest rounds, the packed keys of event_log_rows' inputs sort as
-        np.lexsort does: the key bound's assumptions hold, and 2 (k+1)^2 n stays below 2^63."""
+    def test_template_order_matches_lexsort_at_the_largest_k(self, mode, d_max):
+        """At k = _MAX_K, with the most subnets (d_max = 1) and with one subnet, which has the most
+        events and the latest rounds, the log's columns are those of a stable np.lexsort on
+        (round, is_decode, user) of the decodes, then the messages, as the report lists them."""
         k = conf_sim._MAX_K
-        layout = conf_sim._layout(build_silencing(k, d_max), mode)
-        (cell, _, _, decode_round), (rnd, _, _, _, subject) = layout.users, layout.msgs
-        dec = (layout.kind_label == "fast") | (layout.kind_label == "slow")
-        rnd, user = np.concatenate([decode_round[dec], rnd]), np.concatenate([cell[dec], subject])
+        pattern = build_silencing(k, d_max)
+        cfg = NetworkConfig(alpha=0.5, p=1e3, d_max=d_max, k=k)
+        rep = (run_rx_conferencing if mode == "rx" else run_tx_conferencing)(cfg, pattern)
+        users, log = rep.per_user.cols, rep.conf_log.cols
+        kind = np.asarray(users["kind"])
+        dec = (kind == "fast") | (kind == "slow")
         n_dec = int(np.count_nonzero(dec))
-        want = np.lexsort((user, np.arange(len(rnd)) < n_dec, rnd))
-        assert np.array_equal(conf_sim._event_order(rnd, user, n_dec, k + 1), want)
-        assert max(rnd.max(), user.max()) <= k and len(rnd) < 2 * k
+        none = np.full(n_dec, -1)
+        cat = {name: np.concatenate(pair) for name, pair in {
+            "cell": (users["user"][dec], log["from_node"]), "user": (users["user"][dec], log["subject"]),
+            "round": (users["decode_round"][dec], log["round"]), "from": (none, log["from_node"]),
+            "to": (none, log["to_node"]),
+            "rate": (np.asarray(users["rate"])[dec], np.asarray(log["payload_rate"]))}.items()}
+        is_decode = np.arange(len(cat["round"])) < n_dec
+        order = np.lexsort((cat["user"], is_decode, cat["round"]))
+        sub = pattern.subnets.cols
+        subnet_of = np.repeat(np.arange(len(pattern.subnets)), sub["silenced_cell"] - sub["first"] + 1)
+        got = event_log_rows(rep, pattern).cols
+        assert np.array_equal(got["subnet"], subnet_of[cat["cell"] - 1][order])
+        for name in ("user", "round"):
+            assert np.array_equal(got[name], cat[name][order])
+        for name in ("from", "to"):
+            assert np.array_equal(got[name].codes, cat[name][order])
+        assert np.array_equal(got["event_kind"].codes, is_decode[order])
+        assert np.array_equal(np.asarray(got["rate_bits"]), cat["rate"][order])
+
+    def test_refuses_a_report_that_is_not_a_run_on_the_pattern(self):
+        """A report of the same k and d_max with another offset, or with a record changed, does
+        not fit the pattern; a report built from the simulator's records does, and gives its log."""
+        pattern = build_silencing(12, 1)
+        rep = run_rx_conferencing(NetworkConfig(alpha=0.2, p=5.0, d_max=1, k=12), pattern)
+        users, msgs = list(rep.per_user), list(rep.conf_log)
+        assert list(event_log_rows(_report_of(users, 0.0, 0.0, msgs), pattern)) == list(event_log_rows(rep, pattern))
+        shifted = run_rx_conferencing(NetworkConfig(alpha=0.2, p=5.0, d_max=1, k=12), build_silencing(12, 1, 2))
+        changed = [(users, 1, "decode_round", 3), (msgs, 1, "round", 4), (msgs, 0, "subject", 3),
+                   (msgs, 0, "payload_rate", 0.5), (users, 3, "kind", "fast"), (msgs, 2, "payload_kind", "other")]
+        reports = [shifted]
+        for records, i, field, value in changed:
+            edited = [r.replace(**{field: value}) if j == i else r for j, r in enumerate(records)]
+            reports.append(_report_of(*((edited, 0.0, 0.0, msgs) if records is users else (users, 0.0, 0.0, edited))))
+        for report in reports:
+            with pytest.raises(ValueError, match="outside the silencing pattern"):
+                event_log_rows(report, pattern)
 
 
 def _ref_csv(header, columns):
